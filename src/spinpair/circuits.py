@@ -3,6 +3,8 @@
 Circuits are lists of gates acting on the two spin qubits.  They can be
 evaluated with ideal matrices, with synthesized pulse sequences simulated
 in the number basis, or with pulses plus quasi-static dephasing noise.
+``gate_channel`` is the one place that maps a gate and a mode to its
+number-basis channel; the circuit runner and the CLI both use it.
 """
 
 from __future__ import annotations
@@ -12,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import PulseSequence, propagate
-from .grape import GateTarget, standard_gate
+from .grape import GateTarget, standard_gate, target_in_number_basis
 from .ion import IonParams, YB171, eigensystem
 from .linalg import DensityMatrix, StateVector
-from .tomography import NoiseModel, apply_noise
-
-SPIN_LABELS = ("uu", "ud", "du", "dd")
+from .tomography import NoiseModel, NoisyChannel, apply_noise
 
 _MODES = ("ideal", "pulsed", "pulsed+noise")
 
@@ -60,15 +60,33 @@ def _resolve_pulse(op, pulses) -> PulseSequence:
     raise MissingPulseError(f"no pulse sequence for gate {op.name!r}")
 
 
-def run_circuit(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
-                noise: NoiseModel | None = None,
-                ion: IonParams = YB171) -> DensityMatrix:
-    """Apply the circuit and return the final spin-basis density matrix.
+def gate_channel(gate: GateTarget | PulseSequence, mode: str,
+                 noise: NoiseModel | None = None,
+                 ion: IonParams = YB171) -> NoisyChannel:
+    """Number-basis channel of one gate in the given mode.
 
-    mode "ideal" multiplies the GateTarget matrices; "pulsed" simulates
-    each op's pulse sequence in the number basis and maps the result back
-    to the spin basis through R; "pulsed+noise" additionally averages each
-    pulse over quasi-static level shifts drawn from ``noise``.
+    ``gate`` is a GateTarget in mode "ideal" (its matrix conjugated into
+    the number basis) and a PulseSequence in the pulsed modes: "pulsed"
+    gives the pulse's propagator, "pulsed+noise" the shot unitaries of
+    ``apply_noise``.  The channel's unitaries are indexed by shot.
+    """
+    if mode == "ideal":
+        return NoisyChannel([target_in_number_basis(gate, ion)])
+    if mode == "pulsed":
+        return NoisyChannel([propagate(gate)])
+    return apply_noise(gate, noise)
+
+
+def circuit_shots(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
+                  noise: NoiseModel | None = None,
+                  ion: IonParams = YB171) -> np.ndarray:
+    """Final spin-basis density matrices of the circuit, one per shot.
+
+    Shape (n_shots, 4, 4).  Modes "ideal" and "pulsed" have one shot.  In
+    "pulsed+noise" shot k applies the k-th level shift of ``noise`` to the
+    whole circuit: every op's channel draws its shifts from the same
+    ``noise.rng_seed``, so shot k of each op carries the same shift, and
+    the shot's circuit unitary is the product of those op unitaries.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
@@ -81,26 +99,34 @@ def run_circuit(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
                 raise TypeError("ideal mode requires GateTarget ops")
             u = op.matrix @ u
         psi = u @ psi0
-        return DensityMatrix(np.outer(psi, psi.conj()), basis="spin")
+        return np.outer(psi, psi.conj())[None]
 
+    if mode == "pulsed+noise" and noise is None:
+        raise ValueError("pulsed+noise mode requires a NoiseModel")
     r = eigensystem(ion).eigenvectors
-    rho_n = DensityMatrix(
-        r.conj().T @ np.outer(psi0, psi0.conj()) @ r, basis="number")
+    rho_n = r.conj().T @ np.outer(psi0, psi0.conj()) @ r
+    us = np.eye(4, dtype=complex)[None]
+    for op in c.ops:
+        channel = gate_channel(_resolve_pulse(op, pulses), mode, noise, ion)
+        us = np.asarray(channel.unitaries) @ us
+    rho = us @ rho_n @ us.conj().transpose(0, 2, 1)
+    return r @ rho @ r.conj().T
 
-    if mode == "pulsed":
-        u = np.eye(4, dtype=complex)
-        for op in c.ops:
-            u = propagate(_resolve_pulse(op, pulses)) @ u
-        rho = u @ rho_n.entries @ u.conj().T
-        rho_n = DensityMatrix(rho, basis="number")
-    else:
-        if noise is None:
-            raise ValueError("pulsed+noise mode requires a NoiseModel")
-        for op in c.ops:
-            channel = apply_noise(_resolve_pulse(op, pulses), noise)
-            rho_n = channel(rho_n)
 
-    return DensityMatrix(r @ rho_n.entries @ r.conj().T, basis="spin")
+def run_circuit(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
+                noise: NoiseModel | None = None,
+                ion: IonParams = YB171) -> DensityMatrix:
+    """Apply the circuit and return the final spin-basis density matrix.
+
+    mode "ideal" multiplies the GateTarget matrices; "pulsed" simulates
+    each op's pulse sequence in the number basis and maps the result back
+    to the spin basis through R; "pulsed+noise" draws one quasi-static
+    level shift per shot from ``noise``, holds it across the whole
+    circuit, and averages the final state over the shots (see
+    ``circuit_shots``).
+    """
+    shots = circuit_shots(c, mode, pulses, noise, ion)
+    return DensityMatrix(shots.mean(axis=0), basis="spin")
 
 
 def oracle_gate(marked: int) -> GateTarget:

@@ -26,14 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import grover_circuit, oracle_gate, run_circuit, success_rate
+from .circuits import (circuit_shots, gate_channel, grover_circuit,
+                       oracle_gate, success_rate)
 from .control import (MicrowaveTone, PulseSequence, propagate,
                       propagate_lab_frame, rwa_coefficients)
 from .grape import (ALL_GATES, GateTarget, GrapeConfig, standard_gate,
-                    synthesize, target_in_number_basis)
+                    synthesize)
 from .ion import IonParams, YB171, eigensystem
-from .linalg import (ChiMatrix, DensityMatrix, process_fidelity,
-                     state_fidelity)
+from .linalg import DensityMatrix, process_fidelity, state_fidelity
 from .multiion import (GradientDrive, NormalMode, TwoIonSystem, composite_zz,
                        large_field_selectivity, motion_disentanglement_check,
                        ms_composite_xx)
@@ -220,74 +220,60 @@ def pulse_path(cfg: RunConfig, gate: str) -> Path:
     return cfg.output_dir / "pulses" / f"{gate.lower()}_{cfg.grape_hash()}.json"
 
 
+def _synthesize_pulse(cfg: RunConfig, gate: str):
+    """Synthesize the gate's pulse and store it in the pulse library."""
+    target = _gate_target(gate)
+    t0 = time.perf_counter()
+    result = synthesize(target, cfg.grape)
+    log.info("synthesized %s: fidelity %.6f after %d iterations (%.1f s)",
+             target.name, result.fidelity, result.iterations,
+             time.perf_counter() - t0)
+    write_json(pulse_path(cfg, gate),
+               {"gate": target.name, "pulse": result.sequence.to_json(),
+                "fidelity": result.fidelity, "iterations": result.iterations,
+                "converged": result.converged})
+    return target, result
+
+
 def ensure_pulse(cfg: RunConfig, gate: str):
     """Load the gate's pulse from the library, synthesizing on a miss."""
     path = pulse_path(cfg, gate)
     if path.exists():
         data = read_versioned_json(path)
         return PulseSequence.from_json(data["pulse"]), None
-    target = _gate_target(gate)
-    t0 = time.perf_counter()
-    result = synthesize(target, cfg.grape)
-    wall = time.perf_counter() - t0
-    log.info("synthesized %s: fidelity %.6f after %d iterations (%.1f s)",
-             gate, result.fidelity, result.iterations, wall)
-    write_json(path, {"gate": gate.lower(), "pulse": result.sequence.to_json(),
-                      "fidelity": result.fidelity,
-                      "iterations": result.iterations,
-                      "converged": result.converged})
+    _, result = _synthesize_pulse(cfg, gate)
     return result.sequence, result
+
+
+def _gate_channel(cfg: RunConfig, gate: str, mode: str):
+    """Number-basis channel of the named gate in the given mode."""
+    # ideal mode needs no pulse; the pulsed modes load or synthesize one
+    op = _gate_target(gate) if mode == "ideal" else ensure_pulse(cfg, gate)[0]
+    return gate_channel(op, mode, cfg.noise, cfg.ion)
+
+
+# level |3> (number basis): the state QST and noise-sweep prepare from
+_LEVEL3 = DensityMatrix(np.diag([0, 0, 1, 0]).astype(complex),
+                        basis="number")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_synthesize(cfg: RunConfig, args) -> int:
-    target = _gate_target(args.gate)
-    t0 = time.perf_counter()
-    result = synthesize(target, cfg.grape)
-    wall = time.perf_counter() - t0
-    out = cfg.output_dir
-    write_json(pulse_path(cfg, args.gate),
-               {"gate": target.name, "pulse": result.sequence.to_json(),
-                "fidelity": result.fidelity, "iterations": result.iterations,
-                "converged": result.converged})
-    write_json(out / f"synthesize_{target.name}_report.json",
+    target, result = _synthesize_pulse(cfg, args.gate)
+    write_json(cfg.output_dir / f"synthesize_{target.name}_report.json",
                {"gate": target.name, "fidelity": result.fidelity,
                 "iterations": result.iterations,
                 "converged": result.converged, "seed": cfg.seed})
-    log.info("gate %s: fidelity %.6f, %d iterations, %.1f s wall time",
-             target.name, result.fidelity, result.iterations, wall)
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-
-
-def _prepared_state(cfg: RunConfig, gate: str, mode: str):
-    """Number-basis state produced by applying the gate to |3>.
-
-    Returns a zero-argument callable so that noisy preparations resample
-    on every invocation.
-    """
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[2, 2] = 1.0
-    if mode == "ideal":
-        u = target_in_number_basis(_gate_target(gate), cfg.ion)
-        rho = DensityMatrix(u @ rho0 @ u.conj().T, basis="number")
-        return lambda: rho
-    seq, _ = ensure_pulse(cfg, gate)
-    if mode == "pulsed":
-        u = propagate(seq)
-        rho = DensityMatrix(u @ rho0 @ u.conj().T, basis="number")
-        return lambda: rho
-    channel = apply_noise(seq, cfg.noise)
-    rho0 = DensityMatrix(rho0, basis="number")
-    return lambda: channel(rho0)
 
 
 def cmd_qst(cfg: RunConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
-    prepare = _prepared_state(cfg, args.gate, args.mode)
-    rho_est = qst(prepare, shots=args.shots, rng=rng)
-    ideal = _prepared_state(cfg, args.gate, "ideal")()
+    rho = _gate_channel(cfg, args.gate, args.mode)(_LEVEL3)
+    rho_est = qst(lambda: rho, shots=args.shots, rng=rng)
+    ideal = _gate_channel(cfg, args.gate, "ideal")(_LEVEL3)
     fid = state_fidelity(rho_est, ideal)
 
     r = eigensystem(cfg.ion).eigenvectors
@@ -310,21 +296,7 @@ def cmd_qst(cfg: RunConfig, args) -> int:
 def cmd_qpt(cfg: RunConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
     target = _gate_target(args.gate)
-    if args.mode == "ideal":
-        u = target_in_number_basis(target, cfg.ion)
-
-        def process(rho: DensityMatrix) -> DensityMatrix:
-            return DensityMatrix(u @ rho.entries @ u.conj().T, basis="number")
-    elif args.mode == "pulsed":
-        seq, _ = ensure_pulse(cfg, args.gate)
-        u = propagate(seq)
-
-        def process(rho: DensityMatrix) -> DensityMatrix:
-            return DensityMatrix(u @ rho.entries @ u.conj().T, basis="number")
-    else:
-        seq, _ = ensure_pulse(cfg, args.gate)
-        process = apply_noise(seq, cfg.noise)
-
+    process = _gate_channel(cfg, args.gate, args.mode)
     chi_est = qpt(process, ion=cfg.ion, shots=args.shots, rng=rng)
     chi_ideal = chi_of_unitary(target.matrix)
     fid = process_fidelity(chi_est, chi_ideal)
@@ -350,27 +322,20 @@ def cmd_grover(cfg: RunConfig, args) -> int:
     out = cfg.output_dir
     stem = f"grover_{args.marked}_{args.mode.replace('+', '_')}"
 
-    if args.mode == "ideal":
-        final = run_circuit(circuit, mode="ideal")
-        report["success_rate"] = success_rate(final, args.marked)
-    else:
-        pulses = {}
+    pulses = {}
+    if args.mode != "ideal":
         for name in _GROVER_GATES + (f"oracle{args.marked}",):
             pulses[name], _ = ensure_pulse(cfg, name)
-        if args.mode == "pulsed":
-            final = run_circuit(circuit, mode="pulsed", pulses=pulses,
-                                ion=cfg.ion)
-            report["success_rate"] = success_rate(final, args.marked)
-        else:
-            final = run_circuit(circuit, mode="pulsed+noise", pulses=pulses,
-                                noise=cfg.noise, ion=cfg.ion)
-            report["success_rate"] = success_rate(final, args.marked)
-            # per-sample unitary circuits for a confidence interval
-            samples = _grover_noise_samples(cfg, circuit, pulses, args.marked)
-            mean = float(np.mean(samples))
-            half = 1.96 * float(np.std(samples, ddof=1)) / np.sqrt(
-                len(samples))
-            report["ci95"] = [mean - half, mean + half]
+    shots = circuit_shots(circuit, args.mode, pulses, cfg.noise, cfg.ion)
+    final = DensityMatrix(shots.mean(axis=0), basis="spin")
+    rate = success_rate(final, args.marked)
+    report["success_rate"] = rate
+    if args.mode == "pulsed+noise":
+        # 95 % interval of the mean over the same shots; one shot has none
+        rates = shots[:, args.marked - 1, args.marked - 1].real
+        half = (1.96 * float(np.std(rates, ddof=1)) / np.sqrt(len(rates))
+                if len(rates) > 1 else 0.0)
+        report["ci95"] = [rate - half, rate + half]
 
     r = eigensystem(cfg.ion).eigenvectors
     rho_number = r.conj().T @ final.entries @ r
@@ -380,28 +345,8 @@ def cmd_grover(cfg: RunConfig, args) -> int:
     write_matrix_csv(out / f"{stem}_spin.csv", final.entries,
                      "final rho (spin basis)")
     log.info("Grover marked=%d mode=%s: success rate %.6f", args.marked,
-             args.mode, report["success_rate"])
+             args.mode, rate)
     return EXIT_OK
-
-
-def _grover_noise_samples(cfg: RunConfig, circuit, pulses,
-                          marked: int) -> list:
-    """Per-noise-sample Grover success rates (one shift draw per gate)."""
-    channels = [apply_noise(pulses[op.name], cfg.noise)
-                for op in circuit.ops]
-    n = min(len(ch.unitaries) for ch in channels)
-    r = eigensystem(cfg.ion).eigenvectors
-    psi0 = np.zeros(4, dtype=complex)
-    psi0[0] = 1.0
-    psi0_n = r.conj().T @ psi0
-    rates = []
-    for k in range(n):
-        u = np.eye(4, dtype=complex)
-        for ch in channels:
-            u = ch.unitaries[k] @ u
-        psi = r @ (u @ psi0_n)
-        rates.append(float(np.abs(psi[marked - 1]) ** 2))
-    return rates
 
 
 def cmd_multiion_verify(cfg: RunConfig, args) -> int:
@@ -474,11 +419,7 @@ def cmd_noise_sweep(cfg: RunConfig, args) -> int:
     cfg_long.grape = dataclasses.replace(cfg.grape, total_time=args.duration)
 
     seq, _ = ensure_pulse(cfg_long, args.gate)
-    rho0 = np.zeros((4, 4), dtype=complex)
-    rho0[2, 2] = 1.0
-    u = propagate(seq)
-    ideal = DensityMatrix(u @ rho0 @ u.conj().T, basis="number")
-    rho0 = DensityMatrix(rho0, basis="number")
+    ideal = gate_channel(seq, "pulsed")(_LEVEL3)
 
     rows = []
     fids = {}
@@ -486,7 +427,7 @@ def cmd_noise_sweep(cfg: RunConfig, args) -> int:
             cfg.noise.n_samples, rng_seed=cfg.seed)),
             ("triggered", noise_model_triggered(
                 cfg.noise.n_samples, rng_seed=cfg.seed))):
-        out_rho = apply_noise(seq, model)(rho0)
+        out_rho = apply_noise(seq, model)(_LEVEL3)
         fids[name] = state_fidelity(out_rho, ideal)
         rows.append([name, args.duration, fids[name]])
         log.info("%s noise: state fidelity %.4f", name, fids[name])
@@ -589,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="marked spin state, 1-based in (uu, ud, du, dd)")
     p.add_argument("--mode", default="ideal",
                    choices=["ideal", "pulsed", "pulsed+noise"])
-    p.add_argument("--shots", type=int, default=0)
     p.set_defaults(func=cmd_grover)
 
     p = sub.add_parser("multiion-verify",

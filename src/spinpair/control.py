@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,18 +193,6 @@ def rwa_coefficients(tones, p: IonParams, duration: float) -> PulseSegment:
                         d1=d1, d2=d2, d4=d4)
 
 
-def lab_frame_hamiltonian(tones, p: IonParams, t: float) -> np.ndarray:
-    """Full lab-frame Hamiltonian (spin basis) at time t, no RWA."""
-    h = free_hamiltonian(p)
-    gx = p.gamma_n * I1X + p.gamma_e * I2X
-    gy = p.gamma_n * I1Y + p.gamma_e * I2Y
-    gz = p.gamma_n * I1Z + p.gamma_e * I2Z
-    for tone in tones:
-        c = np.cos(tone.omega * t + tone.phi)
-        h = h - c * (tone.bx * gx + tone.by * gy + tone.bz * gz)
-    return h
-
-
 def propagate_lab_frame(tones, p: IonParams, duration: float,
                         dt: float) -> np.ndarray:
     """Direct lab-frame integration (no RWA); returns U in the number basis.
@@ -239,36 +227,3 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
         u = us[k] @ u
     r = mapping_operator(es.theta0)
     return r.conj().T @ u @ r
-
-
-def rotating_frame_operator(t: float, p: IonParams,
-                            delta_history=None) -> np.ndarray:
-    """Frame operator R_r'(t) = exp(-i integral of H'_r'), number basis.
-
-    H'_r' is diagonal with entries (d1 - E1, d2 - E2, -E3, d4 - E4); the
-    detuning history is a list of (duration, d1, d2, d4) intervals covering
-    [0, t].  With no history the detunings are zero.
-    """
-    e = eigensystem(p).energies
-    phase = -e * t
-    acc = np.zeros(4)
-    if delta_history:
-        elapsed = 0.0
-        for (dur, d1, d2, d4) in delta_history:
-            dur = min(dur, t - elapsed)
-            if dur <= 0:
-                break
-            acc += np.array([d1, d2, 0.0, d4]) * dur
-            elapsed += dur
-    phase = phase + acc
-    return np.diag(np.exp(-1j * phase))
-
-
-def frame_transform(u_rot: np.ndarray, t: float, p: IonParams,
-                    delta_history=None) -> np.ndarray:
-    """Map a rotating-frame propagator over [0, t] to the lab frame.
-
-    U_lab(t) = R_r'(t)^dag U_rot(t) since R_r'(0) = I.
-    """
-    r = rotating_frame_operator(t, p, delta_history)
-    return r.conj().T @ u_rot

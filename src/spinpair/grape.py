@@ -14,7 +14,7 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,16 +121,6 @@ def _seq_from_params(x: np.ndarray, cfg: GrapeConfig) -> PulseSequence:
         for k in range(n)
     ]
     return PulseSequence(segments=segs)
-
-
-def _params_from_seq(seq: PulseSequence, cfg: GrapeConfig) -> np.ndarray:
-    amps = np.array([[s.c31.real, s.c31.imag, s.c32.real, s.c32.imag,
-                      s.c34.real, s.c34.imag] for s in seq.segments])
-    x = amps.ravel()
-    if cfg.optimize_detunings:
-        dets = np.array([[s.d1, s.d2, s.d4] for s in seq.segments])
-        x = np.concatenate([x, dets.ravel()])
-    return x
 
 
 def _clip_amplitudes(x: np.ndarray, cfg: GrapeConfig) -> np.ndarray:
@@ -343,6 +333,7 @@ def synthesize(target: GateTarget, cfg: GrapeConfig,
     target_n = target_in_number_basis(target, ion)
 
     best = None
+    converged = False
     total_iters = 0
     for attempt in range(max(1, cfg.n_restarts)):
         rng = np.random.default_rng(cfg.rng_seed + attempt)
@@ -354,9 +345,8 @@ def synthesize(target: GateTarget, cfg: GrapeConfig,
         if best is None or f > best[1]:
             best = (x, f)
         if f >= cfg.target_fidelity and _generalizes(x, target_n, cfg):
-            best = (x, f)
+            best, converged = (x, f), True
             break
     x, f = best
     return SynthesisResult(sequence=_seq_from_params(x, cfg), fidelity=f,
-                           iterations=total_iters,
-                           converged=f >= cfg.target_fidelity)
+                           iterations=total_iters, converged=converged)

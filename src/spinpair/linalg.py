@@ -8,13 +8,11 @@ eigensolver error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 HERM_ATOL = 1e-10
-TRACE_ATOL = 1e-12
-EIG_ATOL = 1e-10
 
 
 class BasisMismatchError(ValueError):

@@ -13,7 +13,7 @@ before motion (Fock) in the spin-motion space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,6 +198,18 @@ def _r2y(ion_index: int, theta: float) -> np.ndarray:
     return two_ion_op(expm_unitary(I2Y, theta), ion_index)
 
 
+def _composite_target(sys: TwoIonSystem, op: np.ndarray) -> np.ndarray:
+    """The closed-form composite target for the electron-spin operator
+    ``op`` on both ions (I2z for ZZ, I2x for XX); see composite_zz_target."""
+    k1, delta = sys.drive.k1, sys.drive.delta
+    kf = 2 * k1 * np.pi / delta**2
+    om = [coupling_strength(sys, n) for n in range(2)]
+    pair = two_ion_op(op, 0) @ two_ion_op(op, 1)
+    theta1 = kf * (om[0]**2 + om[1]**2)
+    return expm_unitary(-kf * 8 * om[0] * om[1] * pair) * np.exp(
+        1j * (2 * theta1 + np.pi))
+
+
 def composite_zz_target(sys: TwoIonSystem) -> np.ndarray:
     """Electron-electron ZZ exponential with the numerically fixed phase.
 
@@ -207,13 +219,7 @@ def composite_zz_target(sys: TwoIonSystem) -> np.ndarray:
     (total 2 theta1) and the paired pi rotations contribute a spinor -1;
     both checked against the explicit product.
     """
-    k1, delta = sys.drive.k1, sys.drive.delta
-    kf = 2 * k1 * np.pi / delta**2
-    om = [coupling_strength(sys, n) for n in range(2)]
-    zz = two_ion_op(I2Z, 0) @ two_ion_op(I2Z, 1)
-    theta1 = kf * (om[0]**2 + om[1]**2)
-    return expm_unitary(-kf * 8 * om[0] * om[1] * zz) * np.exp(
-        1j * (2 * theta1 + np.pi))
+    return _composite_target(sys, I2Z)
 
 
 def composite_zz(sys: TwoIonSystem) -> tuple[np.ndarray, float]:
@@ -241,13 +247,7 @@ def composite_xx_from_zz(sys: TwoIonSystem) -> tuple[np.ndarray, float]:
     left = _r2y(0, np.pi / 2) @ _r2y(1, np.pi / 2)
     right = _r2y(0, -np.pi / 2) @ _r2y(1, -np.pi / 2)
     u = left @ uzz_22 @ right
-    k1, delta = sys.drive.k1, sys.drive.delta
-    kf = 2 * k1 * np.pi / delta**2
-    om = [coupling_strength(sys, n) for n in range(2)]
-    xx = two_ion_op(I2X, 0) @ two_ion_op(I2X, 1)
-    theta1 = kf * (om[0]**2 + om[1]**2)
-    target = expm_unitary(-kf * 8 * om[0] * om[1] * xx) * np.exp(
-        1j * (2 * theta1 + np.pi))
+    target = _composite_target(sys, I2X)
     return u, float(np.linalg.norm(u - target) / np.sqrt(16))
 
 

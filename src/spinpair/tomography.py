@@ -10,6 +10,9 @@ into |3> followed by a pi/2 analysis pulse).
 Magnetic noise is modeled as quasi-static: each experimental shot draws
 a constant random shift of the |1>, |2>, |4> energies (Gaussian, std
 sigma_k), matching slow drift physics and the Ramsey T2* phenomenology.
+The shift is held for the whole shot: in a circuit every gate of shot k
+sees the same shift, and a Grover report takes both its success rate and
+its confidence interval from those same shots.
 """
 
 from __future__ import annotations
@@ -306,7 +309,9 @@ def apply_noise(seq: PulseSequence, noise: NoiseModel) -> NoisyChannel:
 
     Each sample adds a constant diagonal d1|1><1| + d2|2><2| + d4|4><4| to
     every segment Hamiltonian; the returned channel averages the resulting
-    unitary conjugations.  Deterministic for a fixed noise rng_seed.
+    unitary conjugations.  ``unitaries[k]`` is shot k.  The shifts depend
+    only on ``noise`` (drawn from its rng_seed), so channels built from
+    one NoiseModel share their shots; with all sigmas zero there is one.
     """
     rng = np.random.default_rng(noise.rng_seed)
     if (noise.sigma1, noise.sigma2, noise.sigma4) == (0.0, 0.0, 0.0):

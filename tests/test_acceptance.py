@@ -8,11 +8,11 @@ captured output on failure.
 import numpy as np
 import pytest
 
-from conftest import random_density
+from conftest import fd_gradient, random_density
 from spinpair.cli import main as cli_main, read_versioned_json
 from spinpair.circuits import grover_circuit, run_circuit, success_rate
 from spinpair.control import PulseSegment, PulseSequence, propagate
-from spinpair.grape import (ALL_GATES, gradient, objective, standard_gate,
+from spinpair.grape import (ALL_GATES, gradient, standard_gate,
                             target_in_number_basis)
 from spinpair.ion import YB171
 from spinpair.linalg import DensityMatrix, process_fidelity, state_fidelity
@@ -158,49 +158,12 @@ def test_criterion_08_gradient_correctness():
         seq = PulseSequence(segments=segs)
         g = gradient(seq, target, scalings=scalings,
                      optimize_detunings=optimize_detunings)
-        fd = _fd_gradient(seq, target, scalings, optimize_detunings)
+        fd = fd_gradient(seq, target, scalings, optimize_detunings)
         rel = np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12)
         worst = max(worst, rel)
     print(f"criterion 8: worst gradient relative error {worst:.3e} "
           "(threshold 1e-5) over 50 instances")
     assert worst <= 1e-5
-
-
-def _fd_gradient(seq, target, scalings, optimize_detunings, eps=1e-3):
-    fields = ["c31", "c32", "c34"]
-    n = len(seq.segments)
-    cols = 9 if optimize_detunings else 6
-    g = np.zeros((n, cols))
-
-    def perturbed(k, attr, part, delta):
-        segs = []
-        for i, s in enumerate(seq.segments):
-            kw = dict(duration=s.duration, c31=s.c31, c32=s.c32, c34=s.c34,
-                      d1=s.d1, d2=s.d2, d4=s.d4)
-            if i == k:
-                if part == "im":
-                    kw[attr] = kw[attr] + 1j * delta
-                else:
-                    kw[attr] = kw[attr] + delta
-            segs.append(PulseSegment(**kw))
-        return PulseSequence(segments=segs)
-
-    for k in range(n):
-        for a, attr in enumerate(fields):
-            for b, part in enumerate(("re", "im")):
-                fp = objective(perturbed(k, attr, part, eps), target,
-                               scalings=scalings)
-                fm = objective(perturbed(k, attr, part, -eps), target,
-                               scalings=scalings)
-                g[k, 2 * a + b] = (fp - fm) / (2 * eps)
-        if optimize_detunings:
-            for b, attr in enumerate(("d1", "d2", "d4")):
-                fp = objective(perturbed(k, attr, "d", eps), target,
-                               scalings=scalings)
-                fm = objective(perturbed(k, attr, "d", -eps), target,
-                               scalings=scalings)
-                g[k, 6 + b] = (fp - fm) / (2 * eps)
-    return g
 
 
 def test_criterion_09_lab_frame_vs_rwa(tmp_path):

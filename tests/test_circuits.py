@@ -5,6 +5,7 @@ import pytest
 
 from spinpair.circuits import (Circuit, MissingPulseError, grover_circuit,
                                oracle_gate, run_circuit, success_rate)
+from spinpair.control import propagate
 from spinpair.grape import standard_gate
 from spinpair.ion import YB171, change_basis, eigensystem
 from spinpair.linalg import DensityMatrix, StateVector
@@ -104,3 +105,19 @@ def test_pulsed_noise_mode_runs(all_gate_pulses):
     assert final.basis == "spin"
     assert np.trace(final.entries).real == pytest.approx(1.0, abs=1e-9)
     assert success_rate(final, 2) >= 0.95
+    # quasi-static: each shot draws one level shift (from the noise seed)
+    # and holds it across the whole circuit, so the final state is the
+    # shot mean of whole-circuit unitaries
+    r = eigensystem(YB171).eigenvectors
+    rho_n = r.conj().T @ np.diag([1, 0, 0, 0]).astype(complex) @ r
+    shifts = np.random.default_rng(noise.rng_seed).normal(
+        size=(noise.n_samples, 3)) * [noise.sigma1, noise.sigma2, noise.sigma4]
+    want = np.zeros((4, 4), dtype=complex)
+    for d1, d2, d4 in shifts:
+        u = np.eye(4, dtype=complex)
+        for op in grover_circuit(2).ops:
+            u = propagate(pulses[op.name],
+                          extra_diag=np.array([d1, d2, 0.0, d4])) @ u
+        want += r @ u @ rho_n @ u.conj().T @ r.conj().T
+    want /= noise.n_samples
+    assert np.allclose(final.entries, want, atol=1e-12)

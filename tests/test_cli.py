@@ -1,12 +1,16 @@
 """Command-line interface: config handling, artifacts, determinism."""
 
 import json
-from pathlib import Path
 
 import pytest
 
-from spinpair.cli import (EXIT_BAD_CONFIG, EXIT_OK, SCHEMA_VERSION,
-                          ConfigError, main, read_versioned_json)
+from spinpair.cli import (EXIT_BAD_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
+                          SCHEMA_VERSION, ConfigError, RunConfig, main,
+                          pulse_path, read_versioned_json)
+
+# a few GRAPE iterations on a coarse pulse: enough to run every mode
+SMALL = {"grape": {"n_segments": 4, "max_iters": 20, "n_restarts": 1},
+         "noise": {"n_samples": 4}}
 
 
 def run_cli(tmp_path, *argv, config=None, name="run"):
@@ -110,3 +114,87 @@ def test_selectivity_deterministic_across_runs(tmp_path):
     a = (out1 / "multiion_selectivity.json").read_bytes()
     b = (out2 / "multiion_selectivity.json").read_bytes()
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Run the CLI with the SMALL config; all runs share one pulse cache."""
+    root = tmp_path_factory.mktemp("small")
+
+    def run(*argv, config=SMALL):
+        cfg_path = root / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        out = root / "out"
+        return main(["--config", str(cfg_path), "--out", str(out),
+                     *argv]), out
+    return run
+
+
+def _strict_json(path):
+    """The artifact parsed as strict JSON: NaN and Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"{path.name}: non-JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_synthesize_writes_pulse_and_report(small_run):
+    code, out = small_run("synthesize", "hadamard1")
+    report = read_versioned_json(out / "synthesize_hadamard1_report.json")
+    assert code == (EXIT_OK if report["converged"] else EXIT_NO_CONVERGENCE)
+    assert 0.0 <= report["fidelity"] <= 1.0
+    assert report["iterations"] <= 20
+    pulse = read_versioned_json(
+        pulse_path(RunConfig(SMALL, output_dir=str(out)), "hadamard1"))
+    assert pulse["gate"] == "hadamard1"
+    for key in ("fidelity", "iterations", "converged"):
+        assert pulse[key] == report[key]
+
+
+@pytest.mark.parametrize("command", ["qst", "qpt"])
+@pytest.mark.parametrize("mode", ["pulsed", "pulsed+noise"])
+def test_tomography_pulsed_modes(small_run, command, mode):
+    code, out = small_run(command, "hadamard1", "--mode", mode)
+    assert code == EXIT_OK
+    stem = f"{command}_hadamard1_{mode.replace('+', '_')}"
+    report = _strict_json(out / f"{stem}.json")
+    fid = report["fidelity_vs_ideal" if command == "qst"
+                 else "process_fidelity"]
+    assert 0.0 <= fid <= 1.0
+    assert report["mode"] == mode
+
+
+def test_grover_pulsed(small_run):
+    code, out = small_run("grover", "--marked", "3", "--mode", "pulsed")
+    assert code == EXIT_OK
+    report = _strict_json(out / "grover_3_pulsed.json")
+    assert 0.0 <= report["success_rate"] <= 1.0
+    assert "ci95" not in report
+
+
+@pytest.mark.parametrize("n_samples", [4, 1])
+def test_grover_noisy_rate_inside_its_ci(small_run, n_samples):
+    config = {**SMALL, "noise": {"n_samples": n_samples}}
+    code, out = small_run("grover", "--marked", "2", "--mode",
+                          "pulsed+noise", config=config)
+    assert code == EXIT_OK
+    report = _strict_json(out / "grover_2_pulsed_noise.json")
+    lo, hi = report["ci95"]
+    assert lo <= report["success_rate"] <= hi
+    if n_samples == 1:
+        assert lo == hi == report["success_rate"]
+
+
+def test_grover_has_no_shots_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        main(["--out", str(tmp_path), "grover", "--shots", "10"])
+
+
+def test_noise_sweep_artifacts(small_run):
+    code, out = small_run("noise-sweep", "--duration", "1e-4")
+    assert code == EXIT_OK
+    report = _strict_json(out / "noise_sweep.json")
+    for key in ("fidelity_free", "fidelity_triggered"):
+        assert 0.0 <= report[key] <= 1.0
+    assert report["gap"] == pytest.approx(
+        report["fidelity_triggered"] - report["fidelity_free"])
+    assert (out / "noise_sweep.csv").exists()

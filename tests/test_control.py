@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinpair.control import (MicrowaveTone, PulseSegment, PulseSequence,
-                              RegimeWarning, control_hamiltonian,
-                              frame_transform, lab_frame_hamiltonian,
-                              propagate, propagate_lab_frame,
-                              rwa_coefficients, segment_unitaries)
+                              RegimeWarning, control_hamiltonian, propagate,
+                              propagate_lab_frame, rwa_coefficients,
+                              segment_unitaries)
 from spinpair.ion import YB171, eigensystem
 from spinpair.linalg import expm_unitary
 
@@ -185,26 +184,3 @@ def test_lab_frame_rejects_coarse_dt():
     p = _scaled_ion()
     with pytest.raises(ValueError):
         propagate_lab_frame([SILENT], p, 1e-5, 1e-6)
-
-
-def test_lab_frame_hamiltonian_hermitian():
-    p = _scaled_ion()
-    tone = MicrowaveTone(1e-6, 2e-6, 3e-6, TWO_PI * 1e7, 0.3)
-    h = lab_frame_hamiltonian([tone], p, 1.23e-7)
-    assert np.max(np.abs(h - h.conj().T)) < 1e-6
-
-
-def test_frame_transform_identity_at_t0():
-    u = np.eye(4, dtype=complex)
-    assert np.allclose(frame_transform(u, 0.0, YB171), u, atol=1e-14)
-
-
-def test_frame_transform_constant_detuning_phases():
-    p = _scaled_ion()
-    e = eigensystem(p).energies
-    t = 1e-6
-    hist = [(t, 10.0, -5.0, 2.0)]
-    r = frame_transform(np.eye(4, dtype=complex), t, p, hist)
-    # R_r'(t)^dag carries diagonal phases exp(-i(E_k - delta_k) t)
-    want = np.exp(-1j * (e - np.array([10.0, -5.0, 0.0, 2.0])) * t)
-    assert np.allclose(np.diag(r), want, atol=1e-9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import fd_gradient
 from spinpair.control import PulseSegment, PulseSequence, propagate
 from spinpair.grape import (ALL_GATES, TABLE_GATES, GateTarget, GrapeConfig,
                             gradient, objective, standard_gate, synthesize,
@@ -25,46 +26,6 @@ def _random_sequence(rng, n=4, total=1e-4, scale=2e3):
     return PulseSequence(segments=segs)
 
 
-def _fd_gradient(seq, target, scalings, optimize_detunings, eps=1e-3):
-    """Central finite differences in the raw control parameters."""
-    fields = ["c31", "c32", "c34"]
-    n = len(seq.segments)
-    cols = 9 if optimize_detunings else 6
-    g = np.zeros((n, cols))
-
-    def perturbed(k, attr, part, delta):
-        segs = []
-        for i, s in enumerate(seq.segments):
-            kw = dict(duration=s.duration, c31=s.c31, c32=s.c32, c34=s.c34,
-                      d1=s.d1, d2=s.d2, d4=s.d4)
-            if i == k:
-                if part == "re":
-                    kw[attr] = kw[attr] + delta
-                elif part == "im":
-                    kw[attr] = kw[attr] + 1j * delta
-                else:
-                    kw[attr] = kw[attr] + delta
-            segs.append(PulseSegment(**kw))
-        return PulseSequence(segments=segs)
-
-    for k in range(n):
-        for a, attr in enumerate(fields):
-            for b, part in enumerate(("re", "im")):
-                fp = objective(perturbed(k, attr, part, eps), target,
-                               scalings=scalings)
-                fm = objective(perturbed(k, attr, part, -eps), target,
-                               scalings=scalings)
-                g[k, 2 * a + b] = (fp - fm) / (2 * eps)
-        if optimize_detunings:
-            for b, attr in enumerate(("d1", "d2", "d4")):
-                fp = objective(perturbed(k, attr, "d", eps), target,
-                               scalings=scalings)
-                fm = objective(perturbed(k, attr, "d", -eps), target,
-                               scalings=scalings)
-                g[k, 6 + b] = (fp - fm) / (2 * eps)
-    return g
-
-
 @pytest.mark.parametrize("optimize_detunings", [False, True])
 def test_gradient_matches_finite_differences(optimize_detunings):
     rng = np.random.default_rng(5)
@@ -72,7 +33,7 @@ def test_gradient_matches_finite_differences(optimize_detunings):
     seq = _random_sequence(rng)
     g = gradient(seq, target, scalings=(0.95, 1.0, 1.05),
                  optimize_detunings=optimize_detunings)
-    fd = _fd_gradient(seq, target, (0.95, 1.0, 1.05), optimize_detunings)
+    fd = fd_gradient(seq, target, (0.95, 1.0, 1.05), optimize_detunings)
     rel = np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12)
     assert rel < 1e-5
 
@@ -149,3 +110,13 @@ def test_synthesis_is_deterministic(default_grape_config):
     b = synthesize(standard_gate("phase1"), default_grape_config)
     assert a.fidelity == b.fidelity
     assert a.sequence.to_json() == b.sequence.to_json()
+
+
+def test_converged_requires_generalization(monkeypatch):
+    # every attempt reaches the target, none passes the midpoint check
+    monkeypatch.setattr("spinpair.grape._generalizes", lambda *a: False)
+    cfg = GrapeConfig(n_segments=4, max_iters=20, n_restarts=2,
+                      target_fidelity=0.01)
+    res = synthesize(standard_gate("identity"), cfg)
+    assert res.fidelity >= cfg.target_fidelity
+    assert res.converged is False
