@@ -30,9 +30,8 @@ class MissingPulseError(KeyError):
 class Circuit:
     """Ordered gate list applied to an initial spin-basis state.
 
-    ``ops`` entries are either GateTarget (ideal 4x4 spin-basis unitaries,
-    resolvable to pulses by name) or PulseSequence objects used verbatim
-    in pulsed modes.
+    ``ops`` entries are GateTargets: ideal 4x4 spin-basis unitaries,
+    resolved to pulse sequences by name in the pulsed modes.
     """
 
     ops: list
@@ -42,22 +41,10 @@ class Circuit:
 
     def __post_init__(self):
         for op in self.ops:
-            if isinstance(op, GateTarget):
-                continue
-            if isinstance(op, PulseSequence):
-                continue
-            raise TypeError(f"circuit op {op!r} is neither a GateTarget "
-                            "nor a PulseSequence")
+            if not isinstance(op, GateTarget):
+                raise TypeError(f"circuit op {op!r} is not a GateTarget")
         if self.initial_state.basis != "spin":
             raise ValueError("initial_state must be in the spin basis")
-
-
-def _resolve_pulse(op, pulses) -> PulseSequence:
-    if isinstance(op, PulseSequence):
-        return op
-    if pulses is not None and op.name in pulses:
-        return pulses[op.name]
-    raise MissingPulseError(f"no pulse sequence for gate {op.name!r}")
 
 
 def gate_channel(gate: GateTarget | PulseSequence, mode: str,
@@ -95,8 +82,6 @@ def circuit_shots(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
     if mode == "ideal":
         u = np.eye(4, dtype=complex)
         for op in c.ops:
-            if not isinstance(op, GateTarget):
-                raise TypeError("ideal mode requires GateTarget ops")
             u = op.matrix @ u
         psi = u @ psi0
         return np.outer(psi, psi.conj())[None]
@@ -107,7 +92,9 @@ def circuit_shots(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
     rho_n = r.conj().T @ np.outer(psi0, psi0.conj()) @ r
     us = np.eye(4, dtype=complex)[None]
     for op in c.ops:
-        channel = gate_channel(_resolve_pulse(op, pulses), mode, noise, ion)
+        if op.name not in (pulses or {}):
+            raise MissingPulseError(f"no pulse sequence for gate {op.name!r}")
+        channel = gate_channel(pulses[op.name], mode, noise, ion)
         us = np.asarray(channel.unitaries) @ us
     rho = us @ rho_n @ us.conj().transpose(0, 2, 1)
     return r @ rho @ r.conj().T

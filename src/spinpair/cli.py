@@ -211,9 +211,12 @@ def read_versioned_json(path: Path) -> dict:
 
 def _gate_target(name: str) -> GateTarget:
     key = name.lower()
-    if key.startswith("oracle"):
-        return oracle_gate(int(key[len("oracle"):]))
-    return standard_gate(key)
+    try:
+        if key.startswith("oracle"):
+            return oracle_gate(int(key[len("oracle"):]))
+        return standard_gate(key)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"unknown gate {name!r}") from exc
 
 
 def pulse_path(cfg: RunConfig, gate: str) -> Path:
@@ -240,6 +243,9 @@ def ensure_pulse(cfg: RunConfig, gate: str):
     path = pulse_path(cfg, gate)
     if path.exists():
         data = read_versioned_json(path)
+        if not data["converged"]:
+            log.warning("cached pulse for %s did not converge (fidelity %.6f):"
+                        " %s", gate, data["fidelity"], path)
         return PulseSequence.from_json(data["pulse"]), None
     _, result = _synthesize_pulse(cfg, gate)
     return result.sequence, result
@@ -317,6 +323,7 @@ _GROVER_GATES = ("hadamard1", "hadamard2", "c00")
 
 
 def cmd_grover(cfg: RunConfig, args) -> int:
+    _gate_target(f"oracle{args.marked}")  # rejects a marked state not in 1..4
     circuit = grover_circuit(args.marked)
     report = {"marked": args.marked, "mode": args.mode, "seed": cfg.seed}
     out = cfg.output_dir
@@ -477,8 +484,8 @@ def cmd_rwa_check(cfg: RunConfig, args) -> int:
         duration = np.pi / (2 * rabi)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            seg = rwa_coefficients(tones, p, duration)
-        u_rot = propagate(PulseSequence(segments=[seg]))
+            seq = rwa_coefficients(tones, p, duration)
+        u_rot = propagate(seq)
         u_lab = propagate_lab_frame(tones, p, duration, dt)
         pops_rot = np.abs(u_rot[:, 2]) ** 2
         pops_lab = np.abs(u_lab[:, 2]) ** 2

@@ -7,8 +7,14 @@ Hermitian conjugate doubles the diagonal terms, so the detuning of level
 k enters as d_k |k><k|.  This matches the printed form of the rotating
 frame Hamiltonian and is implemented verbatim.
 
-Propagator order convention: latest segment leftmost,
-U = U_N ... U_2 U_1.
+A pulse is one ``PulseSequence``: three arrays with one row per
+piecewise-constant segment (durations, complex couplings, detunings).
+``control_hamiltonian`` builds all segment Hamiltonians at once; GRAPE
+views its parameter vector as the same arrays, and the JSON pulse file
+is their serialization.
+
+Propagator order convention: rows in time order, latest segment
+leftmost, U = U_N ... U_2 U_1.
 """
 
 from __future__ import annotations
@@ -34,44 +40,39 @@ class RegimeWarning(UserWarning):
 
 
 @dataclass
-class PulseSegment:
-    """One piecewise-constant control interval (rotating frame)."""
+class PulseSequence:
+    """Piecewise-constant rotating-frame pulse, one row per segment.
 
-    duration: float
-    c31: complex = 0.0
-    c32: complex = 0.0
-    c34: complex = 0.0
-    d1: float = 0.0
-    d2: float = 0.0
-    d4: float = 0.0
+    ``durations`` (n,) in seconds; ``amps`` (n, 3) complex couplings
+    c31, c32, c34 and ``dets`` (n, 3) real detunings d1, d2, d4, both in
+    rad/s.  Row k is the k-th segment in time.
+    """
+
+    durations: np.ndarray
+    amps: np.ndarray
+    dets: np.ndarray
 
     def __post_init__(self):
-        if self.duration <= 0:
+        self.durations = np.asarray(self.durations, dtype=float)
+        self.amps = np.asarray(self.amps, dtype=complex)
+        self.dets = np.asarray(self.dets, dtype=float)
+        n = self.durations.size
+        if (self.durations.shape != (n,) or self.amps.shape != (n, 3)
+                or self.dets.shape != (n, 3)):
+            raise ValueError("expected durations (n,), amps and dets (n, 3)")
+        # pulse files come from disk: reject non-positive durations here
+        if np.any(self.durations <= 0):
             raise ValueError("segment duration must be positive")
 
-
-@dataclass
-class PulseSequence:
-    """Ordered list of pulse segments."""
-
-    segments: list
-
-    @property
-    def total_time(self) -> float:
-        return sum(s.duration for s in self.segments)
-
     def to_json(self) -> str:
+        re_im = np.stack([self.amps.real, self.amps.imag], axis=-1)
         payload = {
             "schema_version": PULSE_SCHEMA_VERSION,
             "segments": [
-                {
-                    "duration_s": s.duration,
-                    "c31": [s.c31.real, s.c31.imag],
-                    "c32": [s.c32.real, s.c32.imag],
-                    "c34": [s.c34.real, s.c34.imag],
-                    "d1": s.d1, "d2": s.d2, "d4": s.d4,
-                }
-                for s in self.segments
+                {"duration_s": t, "c31": c[0], "c32": c[1], "c34": c[2],
+                 "d1": d[0], "d2": d[1], "d4": d[2]}
+                for t, c, d in zip(self.durations.tolist(), re_im.tolist(),
+                                   self.dets.tolist())
             ],
         }
         return json.dumps(payload, indent=1)
@@ -82,17 +83,12 @@ class PulseSequence:
         version = payload.get("schema_version")
         if version != PULSE_SCHEMA_VERSION:
             raise ValueError(f"unknown pulse schema version {version}")
-        segs = [
-            PulseSegment(
-                duration=d["duration_s"],
-                c31=complex(*d["c31"]),
-                c32=complex(*d["c32"]),
-                c34=complex(*d["c34"]),
-                d1=d["d1"], d2=d["d2"], d4=d["d4"],
-            )
-            for d in payload["segments"]
-        ]
-        return cls(segments=segs)
+        segs = payload["segments"]
+        re_im = np.array([[d["c31"], d["c32"], d["c34"]] for d in segs],
+                         dtype=float).reshape(len(segs), 3, 2)
+        return cls(durations=[d["duration_s"] for d in segs],
+                   amps=re_im.view(complex)[..., 0],
+                   dets=[[d["d1"], d["d2"], d["d4"]] for d in segs])
 
 
 @dataclass
@@ -106,46 +102,40 @@ class MicrowaveTone:
     phi: float = 0.0
 
 
-def control_hamiltonian(seg: PulseSegment, scale: float = 1.0) -> np.ndarray:
-    """4x4 rotating-frame Hamiltonian of one segment (number basis, rad/s).
+def control_hamiltonian(seq: PulseSequence, scale: float = 1.0) -> np.ndarray:
+    """Rotating-frame Hamiltonians of all segments, shape (n, 4, 4).
 
-    ``scale`` multiplies the coupling amplitudes only (amplitude-error
-    model); the detunings are unaffected.
+    Number basis, rad/s.  ``scale`` multiplies the coupling amplitudes only
+    (amplitude-error model); the detunings are unaffected.
     """
-    h = np.zeros((4, 4), dtype=complex)
-    h[L3, L1] = scale * seg.c31
-    h[L3, L2] = scale * seg.c32
-    h[L3, L4] = scale * seg.c34
-    h[L1, L1] = seg.d1 / 2
-    h[L2, L2] = seg.d2 / 2
-    h[L4, L4] = seg.d4 / 2
-    return h + h.conj().T
+    h = np.zeros((len(seq.durations), 4, 4), dtype=complex)
+    h[:, L3, [L1, L2, L4]] = scale * seq.amps
+    h[:, [L1, L2, L4], [L1, L2, L4]] = seq.dets / 2
+    return h + h.conj().transpose(0, 2, 1)
 
 
 def segment_unitaries(seq: PulseSequence, scale: float = 1.0,
                       extra_diag: np.ndarray | None = None) -> list:
     """Per-segment propagators; ``extra_diag`` adds a static diagonal shift
     (length-4, rad/s) to every segment Hamiltonian (quasi-static noise)."""
-    us = []
-    for seg in seq.segments:
-        h = control_hamiltonian(seg, scale=scale)
-        if extra_diag is not None:
-            h = h + np.diag(extra_diag.astype(complex))
-        us.append(expm_unitary(h, seg.duration))
-    return us
+    hs = control_hamiltonian(seq, scale=scale)
+    if extra_diag is not None:
+        hs = hs + np.diag(extra_diag.astype(complex))
+    return [expm_unitary(h, t) for h, t in zip(hs, seq.durations)]
 
 
 def propagate(seq: PulseSequence, scale: float = 1.0,
               extra_diag: np.ndarray | None = None) -> np.ndarray:
-    """Total propagator of the sequence, latest segment leftmost."""
+    """Total propagator of the sequence in row order, latest segment
+    leftmost."""
     u = np.eye(4, dtype=complex)
     for uk in segment_unitaries(seq, scale=scale, extra_diag=extra_diag):
         u = uk @ u
     return u
 
 
-def rwa_coefficients(tones, p: IonParams, duration: float) -> PulseSegment:
-    """Map three microwave tones to one rotating-frame pulse segment.
+def rwa_coefficients(tones, p: IonParams, duration: float) -> PulseSequence:
+    """Map three microwave tones to a one-segment rotating-frame pulse.
 
     tones[0] drives |3><->|1| (transverse field), tones[1] drives
     |3><->|2| (field along z), tones[2] drives |3><->|4| (transverse).
@@ -189,8 +179,8 @@ def rwa_coefficients(tones, p: IonParams, duration: float) -> PulseSegment:
         warnings.warn("drive strength or detuning not small compared to the "
                       "level splittings; RWA coefficients may be inaccurate",
                       RegimeWarning)
-    return PulseSegment(duration=duration, c31=c31, c32=c32, c34=c34,
-                        d1=d1, d2=d2, d4=d4)
+    return PulseSequence(durations=[duration], amps=[[c31, c32, c34]],
+                         dets=[[d1, d2, d4]])
 
 
 def propagate_lab_frame(tones, p: IonParams, duration: float,

@@ -7,6 +7,11 @@ errors).  Gradients are exact: each segment exponential is differentiated
 through its eigendecomposition (Loewner / divided-difference formula), so
 the analytic gradient matches finite differences to solver precision.
 
+The optimizer's flat parameter vector stores each coupling as an
+[Re, Im] pair, so ``_pulse`` views it as a ``control.PulseSequence``
+without copying; the fidelity kernel takes only that sequence and runs
+one batched eigendecomposition of all segment Hamiltonians per scaling.
+
 Gate targets are defined in the spin basis; propagation lives in the
 number basis, so targets are conjugated with the mapping operator before
 comparison.
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import PulseSegment, PulseSequence, control_hamiltonian
+from .control import PulseSequence, control_hamiltonian
 from .ion import IonParams, YB171, mapping_operator, mixing_angle
 from .linalg import kron
 
@@ -104,37 +109,26 @@ class SynthesisResult:
 
 # --- parameter vector layout -------------------------------------------------
 # Amplitude block: (n_segments, 6) = [Re c31, Im c31, Re c32, Im c32,
-# Re c34, Im c34]; optional detuning block (n_segments, 3) = [d1, d2, d4].
+# Re c34, Im c34], i.e. (n_segments, 3) complex; optional detuning block
+# (n_segments, 3) = [d1, d2, d4].
 
-def _seq_from_params(x: np.ndarray, cfg: GrapeConfig) -> PulseSequence:
+def _pulse(x: np.ndarray, cfg: GrapeConfig) -> PulseSequence:
+    """The parameter vector as a pulse; its amps (and dets, when optimized)
+    are views of ``x``, not copies."""
     n = cfg.n_segments
-    dt = cfg.total_time / n
-    amps = x[:6 * n].reshape(n, 6)
     dets = (x[6 * n:].reshape(n, 3) if cfg.optimize_detunings
             else np.zeros((n, 3)))
-    segs = [
-        PulseSegment(duration=dt,
-                     c31=complex(amps[k, 0], amps[k, 1]),
-                     c32=complex(amps[k, 2], amps[k, 3]),
-                     c34=complex(amps[k, 4], amps[k, 5]),
-                     d1=dets[k, 0], d2=dets[k, 1], d4=dets[k, 2])
-        for k in range(n)
-    ]
-    return PulseSequence(segments=segs)
+    return PulseSequence(durations=np.full(n, cfg.total_time / n),
+                         amps=x[:6 * n].view(complex).reshape(n, 3),
+                         dets=dets)
 
 
 def _clip_amplitudes(x: np.ndarray, cfg: GrapeConfig) -> np.ndarray:
-    n = cfg.n_segments
     out = x.copy()
-    amps = out[:6 * n].reshape(n, 6)
-    for pair in range(3):
-        c = amps[:, 2 * pair] + 1j * amps[:, 2 * pair + 1]
-        mag = np.abs(c)
-        over = mag > cfg.omega_max
-        if np.any(over):
-            c[over] *= cfg.omega_max / mag[over]
-            amps[:, 2 * pair] = c.real
-            amps[:, 2 * pair + 1] = c.imag
+    c = out[:6 * cfg.n_segments].view(complex)
+    mag = np.abs(c)
+    over = mag > cfg.omega_max
+    c[over] *= cfg.omega_max / mag[over]
     return out
 
 
@@ -160,15 +154,6 @@ def _derivative_ops():
 _DERIV_OPS = _derivative_ops()
 
 
-def _segment_eigs(seq: PulseSequence, scale: float):
-    ws, vs = [], []
-    for seg in seq.segments:
-        w, v = np.linalg.eigh(control_hamiltonian(seg, scale=scale))
-        ws.append(w)
-        vs.append(v)
-    return ws, vs
-
-
 def _loewner(w: np.ndarray, dt: float) -> np.ndarray:
     """Divided differences of exp(-i w dt) over eigenvalue pairs."""
     ew = np.exp(-1j * w * dt)
@@ -179,21 +164,21 @@ def _loewner(w: np.ndarray, dt: float) -> np.ndarray:
     return gamma
 
 
-def _fidelity_and_grad(x: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig,
-                       want_grad: bool):
-    """Mean fidelity over robustness scalings and its gradient."""
-    seq = _seq_from_params(x, cfg) if isinstance(x, np.ndarray) else x
-    n = len(seq.segments)
-    dts = [seg.duration for seg in seq.segments]
-    n_par = 9 if cfg.optimize_detunings else 6
+def _fidelity_and_grad(seq: PulseSequence, target_n: np.ndarray, scalings,
+                       want_grad: bool, with_detunings: bool):
+    """Mean fidelity over amplitude scalings and, if ``want_grad``, its
+    gradient: amplitude partials (6 per segment) first, then, if
+    ``with_detunings``, detuning partials (3 per segment)."""
+    n = len(seq.durations)
+    dts = seq.durations
+    n_par = 9 if with_detunings else 6
     total_f = 0.0
-    grad = np.zeros(6 * n + (3 * n if cfg.optimize_detunings else 0)) \
-        if want_grad else None
+    grad = np.zeros(n_par * n) if want_grad else None
 
-    for s in cfg.robustness_scalings:
-        ws, vs = _segment_eigs(seq, s)
-        us = [(vs[k] * np.exp(-1j * ws[k] * dts[k])) @ vs[k].conj().T
-              for k in range(n)]
+    for s in scalings:
+        ws, vs = np.linalg.eigh(control_hamiltonian(seq, scale=s))
+        us = ((vs * np.exp(-1j * ws * dts[:, None])[:, None, :])
+              @ vs.conj().transpose(0, 2, 1))
         # forward[k] = U_k ... U_1 (forward[0] = I)
         forward = [np.eye(4, dtype=complex)]
         for u in us:
@@ -224,7 +209,7 @@ def _fidelity_and_grad(x: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig,
                     grad[k * 6 + p_idx] += g
                 else:
                     grad[6 * n + k * 3 + (p_idx - 6)] += g
-    m_sc = len(cfg.robustness_scalings)
+    m_sc = len(scalings)
     if want_grad:
         return total_f / m_sc, grad / m_sc
     return total_f / m_sc, None
@@ -240,11 +225,8 @@ def objective(seq: PulseSequence, target: GateTarget,
               ion: IonParams = YB171,
               scalings=(1.0,)) -> float:
     """Mean gate fidelity of the sequence over amplitude scalings."""
-    cfg = GrapeConfig(n_segments=max(2, len(seq.segments)),
-                      total_time=seq.total_time,
-                      robustness_scalings=tuple(scalings))
-    f, _ = _fidelity_and_grad(seq, target_in_number_basis(target, ion), cfg,
-                              want_grad=False)
+    f, _ = _fidelity_and_grad(seq, target_in_number_basis(target, ion),
+                              scalings, want_grad=False, with_detunings=False)
     return f
 
 
@@ -256,13 +238,10 @@ def gradient(seq: PulseSequence, target: GateTarget,
     Shape (n_segments, 6) without detunings, (n_segments, 9) with them
     (detuning partials appended per segment).
     """
-    cfg = GrapeConfig(n_segments=max(2, len(seq.segments)),
-                      total_time=seq.total_time,
-                      robustness_scalings=tuple(scalings),
-                      optimize_detunings=optimize_detunings)
-    _, g = _fidelity_and_grad(seq, target_in_number_basis(target, ion), cfg,
-                              want_grad=True)
-    n = len(seq.segments)
+    _, g = _fidelity_and_grad(seq, target_in_number_basis(target, ion),
+                              scalings, want_grad=True,
+                              with_detunings=optimize_detunings)
+    n = len(seq.durations)
     if optimize_detunings:
         return np.concatenate([g[:6 * n].reshape(n, 6),
                                g[6 * n:].reshape(n, 3)], axis=1)
@@ -271,8 +250,13 @@ def gradient(seq: PulseSequence, target: GateTarget,
 
 def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
     """Monotone gradient ascent with backtracking line search."""
+    def evaluate(x, want_grad):
+        return _fidelity_and_grad(_pulse(x, cfg), target_n,
+                                  cfg.robustness_scalings, want_grad,
+                                  cfg.optimize_detunings)
+
     x = _clip_amplitudes(x0, cfg)
-    f, g = _fidelity_and_grad(x, target_n, cfg, want_grad=True)
+    f, g = evaluate(x, want_grad=True)
     # fidelity is dimensionless, parameters are rad/s: scale the step so a
     # unit step_size moves amplitudes by O(omega_max) per unit gradient
     step = cfg.step_size * cfg.omega_max**2
@@ -284,7 +268,7 @@ def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
         accepted = False
         for _ in range(40):
             trial = _clip_amplitudes(x + step * g, cfg)
-            ft, _ = _fidelity_and_grad(trial, target_n, cfg, want_grad=False)
+            ft, _ = evaluate(trial, want_grad=False)
             if ft > f:
                 accepted = True
                 break
@@ -292,7 +276,7 @@ def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
         if not accepted:
             break
         x = trial
-        f, g = _fidelity_and_grad(x, target_n, cfg, want_grad=True)
+        f, g = evaluate(x, want_grad=True)
         step *= 1.6
     return x, f, iters
 
@@ -309,13 +293,9 @@ def _generalizes(x: np.ndarray, target_n: np.ndarray,
     sc = sorted(cfg.robustness_scalings)
     if len(sc) < 2:
         return True
-    mids = tuple((a + b) / 2 for a, b in zip(sc, sc[1:]))
-    mid_cfg = GrapeConfig(n_segments=cfg.n_segments,
-                          omega_max=cfg.omega_max,
-                          total_time=cfg.total_time,
-                          robustness_scalings=mids,
-                          optimize_detunings=cfg.optimize_detunings)
-    f_mid, _ = _fidelity_and_grad(x, target_n, mid_cfg, want_grad=False)
+    mids = [(a + b) / 2 for a, b in zip(sc, sc[1:])]
+    f_mid, _ = _fidelity_and_grad(_pulse(x, cfg), target_n, mids,
+                                  want_grad=False, with_detunings=False)
     return f_mid >= 1.0 - 5.0 * (1.0 - cfg.target_fidelity)
 
 
@@ -348,5 +328,5 @@ def synthesize(target: GateTarget, cfg: GrapeConfig,
             best, converged = (x, f), True
             break
     x, f = best
-    return SynthesisResult(sequence=_seq_from_params(x, cfg), fidelity=f,
+    return SynthesisResult(sequence=_pulse(x, cfg), fidelity=f,
                            iterations=total_iters, converged=converged)

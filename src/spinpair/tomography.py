@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import PulseSequence, propagate, segment_unitaries
+from .control import PulseSequence, propagate
 from .ion import IonParams, YB171, change_basis, mapping_operator, mixing_angle
 from .linalg import ChiMatrix, DensityMatrix, expm_unitary, kron, project_psd
 
@@ -172,14 +172,12 @@ def _qst_design() -> np.ndarray:
     return _QST_DESIGN
 
 
-def qst(prepare, shots: int = 0, rng=None,
-        setting_noise=None) -> DensityMatrix:
+def qst(prepare, shots: int = 0, rng=None) -> DensityMatrix:
     """Reconstruct a number-basis density matrix by linear inversion.
 
     ``prepare`` is invoked once per measurement setting and must return a
     number-basis DensityMatrix (fresh noise sampling per invocation is
-    fine).  ``setting_noise`` optionally applies a quasi-static phase kick
-    to the tomography pulses themselves: a tuple (noise_model, pulse_time).
+    fine).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -188,12 +186,6 @@ def qst(prepare, shots: int = 0, rng=None,
         rho = prepare()
         if rho.basis != "number":
             raise ValueError("prepare must yield a number-basis state")
-        if setting_noise is not None:
-            model, t_pulse = setting_noise
-            d = _sample_shifts(model, 1, rng)[0]
-            kick = np.diag(np.exp(-1j * np.array([d[0], d[1], 0, d[2]])
-                                  * t_pulse))
-            v = v @ kick
         rotated = DensityMatrix(v @ rho.entries @ v.conj().T, basis="number")
         probs.append(measure_p3(rotated, shots=shots, rng=rng))
     x, *_ = np.linalg.lstsq(_qst_design(), np.array(probs), rcond=None)
@@ -238,8 +230,8 @@ def _qpt_design() -> np.ndarray:
     return _QPT_DESIGN
 
 
-def qpt(process, ion: IonParams = YB171, shots: int = 0, rng=None,
-        setting_noise=None) -> ChiMatrix:
+def qpt(process, ion: IonParams = YB171, shots: int = 0,
+        rng=None) -> ChiMatrix:
     """Standard 16-input-state process tomography; chi in the spin basis.
 
     ``process`` maps a number-basis DensityMatrix to a number-basis
@@ -264,8 +256,7 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0, rng=None,
                 warnings.warn(f"process is not trace preserving (Tr={tr})")
             return out
 
-        out_n = qst(prepare, shots=shots, rng=rng,
-                    setting_noise=setting_noise)
+        out_n = qst(prepare, shots=shots, rng=rng)
         outputs.append(change_basis(out_n, r, "number_to_spin").entries)
     rhs = np.concatenate([o.ravel() for o in outputs])
     chi_vec, *_ = np.linalg.lstsq(_qpt_design(), rhs, rcond=None)
@@ -317,11 +308,5 @@ def apply_noise(seq: PulseSequence, noise: NoiseModel) -> NoisyChannel:
     if (noise.sigma1, noise.sigma2, noise.sigma4) == (0.0, 0.0, 0.0):
         return NoisyChannel([propagate(seq)])
     shifts = _sample_shifts(noise, noise.n_samples, rng)
-    us = []
-    for d1, d2, d4 in shifts:
-        extra = np.array([d1, d2, 0.0, d4])
-        u = np.eye(4, dtype=complex)
-        for uk in segment_unitaries(seq, extra_diag=extra):
-            u = uk @ u
-        us.append(u)
-    return NoisyChannel(us)
+    return NoisyChannel([propagate(seq, extra_diag=np.array([d1, d2, 0.0, d4]))
+                         for d1, d2, d4 in shifts])

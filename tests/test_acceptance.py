@@ -11,7 +11,7 @@ import pytest
 from conftest import fd_gradient, random_density
 from spinpair.cli import main as cli_main, read_versioned_json
 from spinpair.circuits import grover_circuit, run_circuit, success_rate
-from spinpair.control import PulseSegment, PulseSequence, propagate
+from spinpair.control import PulseSequence, propagate
 from spinpair.grape import (ALL_GATES, gradient, standard_gate,
                             target_in_number_basis)
 from spinpair.ion import YB171
@@ -144,18 +144,14 @@ def test_criterion_08_gradient_correctness():
     worst = 0.0
     for trial in range(50):
         optimize_detunings = bool(trial % 2)
-        segs = []
+        durations, amps, dets = [], [], []
         for _ in range(2):
             scale = TWO_PI * 1e3
-            segs.append(PulseSegment(
-                duration=float(rng.uniform(1e-5, 1e-4)),
-                c31=complex(*(scale * rng.normal(size=2))),
-                c32=complex(*(scale * rng.normal(size=2))),
-                c34=complex(*(scale * rng.normal(size=2))),
-                d1=float(scale * rng.normal()),
-                d2=float(scale * rng.normal()),
-                d4=float(scale * rng.normal())))
-        seq = PulseSequence(segments=segs)
+            durations.append(float(rng.uniform(1e-5, 1e-4)))
+            amps.append([complex(*(scale * rng.normal(size=2)))
+                         for _ in range(3)])
+            dets.append([float(scale * rng.normal()) for _ in range(3)])
+        seq = PulseSequence(durations, amps, dets)
         g = gradient(seq, target, scalings=scalings,
                      optimize_detunings=optimize_detunings)
         fd = fd_gradient(seq, target, scalings, optimize_detunings)

@@ -1,6 +1,7 @@
 """Command-line interface: config handling, artifacts, determinism."""
 
 import json
+import logging
 
 import pytest
 
@@ -45,6 +46,14 @@ def test_bad_schema_version_is_exit_3(tmp_path):
 def test_bad_section_value_is_exit_3(tmp_path):
     code, _ = run_cli(tmp_path, "grover",
                       config={"noise": {"model": "loud"}})
+    assert code == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["grover", "--marked", "5"], ["qst", "toffoli"], ["qpt", "oracle9"],
+    ["synthesize", "toffoli"], ["noise-sweep", "--gate", "toffoli"]])
+def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
+    code, _ = run_cli(tmp_path, *argv)
     assert code == EXIT_BAD_CONFIG
 
 
@@ -137,17 +146,26 @@ def _strict_json(path):
     return json.loads(path.read_text(), parse_constant=reject)
 
 
-def test_synthesize_writes_pulse_and_report(small_run):
+def test_synthesize_writes_pulse_and_report(small_run, caplog):
     code, out = small_run("synthesize", "hadamard1")
     report = read_versioned_json(out / "synthesize_hadamard1_report.json")
     assert code == (EXIT_OK if report["converged"] else EXIT_NO_CONVERGENCE)
     assert 0.0 <= report["fidelity"] <= 1.0
     assert report["iterations"] <= 20
-    pulse = read_versioned_json(
-        pulse_path(RunConfig(SMALL, output_dir=str(out)), "hadamard1"))
+    path = pulse_path(RunConfig(SMALL, output_dir=str(out)), "hadamard1")
+    pulse = read_versioned_json(path)
     assert pulse["gate"] == "hadamard1"
     for key in ("fidelity", "iterations", "converged"):
         assert pulse[key] == report[key]
+    # 20 iterations do not reach the target; reusing the pulse says so
+    assert report["converged"] is False
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="spinpair"):
+        code, _ = small_run("qst", "hadamard1", "--mode", "pulsed")
+    assert code == EXIT_OK
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert any("hadamard1" in w and str(path) in w for w in warnings)
 
 
 @pytest.mark.parametrize("command", ["qst", "qpt"])

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinpair.control import (MicrowaveTone, PulseSegment, PulseSequence,
-                              RegimeWarning, control_hamiltonian, propagate,
+from spinpair.control import (MicrowaveTone, PulseSequence, RegimeWarning,
+                              control_hamiltonian, propagate,
                               propagate_lab_frame, rwa_coefficients,
                               segment_unitaries)
 from spinpair.ion import YB171, eigensystem
@@ -16,32 +17,33 @@ TWO_PI = 2 * np.pi
 SILENT = MicrowaveTone(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def _segment(duration, c31=0.0, c32=0.0, c34=0.0, d1=0.0, d2=0.0, d4=0.0):
+    """A one-segment pulse."""
+    return PulseSequence([duration], [[c31, c32, c34]], [[d1, d2, d4]])
+
+
 def test_control_hamiltonian_structure():
-    seg = PulseSegment(duration=1e-5, c31=100.0)
-    h = control_hamiltonian(seg)
+    (h,) = control_hamiltonian(_segment(1e-5, c31=100.0))
     expect = np.zeros((4, 4), dtype=complex)
     expect[2, 0] = expect[0, 2] = 100.0
     assert np.allclose(h, expect)
     # diagonal detunings appear undoubled on the diagonal
-    seg = PulseSegment(duration=1e-5, d1=50.0, d2=-30.0, d4=10.0)
-    h = control_hamiltonian(seg)
+    (h,) = control_hamiltonian(_segment(1e-5, d1=50.0, d2=-30.0, d4=10.0))
     assert np.allclose(np.diag(h), [50.0, -30.0, 0.0, 10.0])
 
 
 def test_control_hamiltonian_hermitian(rng):
-    seg = PulseSegment(duration=1e-5,
-                       c31=complex(*rng.normal(size=2)),
-                       c32=complex(*rng.normal(size=2)),
-                       c34=complex(*rng.normal(size=2)),
-                       d1=rng.normal(), d2=rng.normal(), d4=rng.normal())
-    h = control_hamiltonian(seg)
-    assert np.max(np.abs(h - h.conj().T)) < 1e-14
+    seq = PulseSequence(np.full(3, 1e-5),
+                        rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+                        rng.normal(size=(3, 3)))
+    h = control_hamiltonian(seq)
+    assert h.shape == (3, 4, 4)
+    assert np.max(np.abs(h - h.conj().transpose(0, 2, 1))) < 1e-14
 
 
 def test_pi_pulse_transfers_level_3_to_1():
     omega = TWO_PI * 1e3
-    seg = PulseSegment(duration=np.pi / (2 * omega), c31=omega)
-    u = propagate(PulseSequence(segments=[seg]))
+    u = propagate(_segment(np.pi / (2 * omega), c31=omega))
     psi = u @ np.array([0, 0, 1, 0], dtype=complex)
     assert abs(psi[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -50,9 +52,9 @@ def test_propagate_order_convention():
     # a pi pulse on (3,1) followed by one on (3,2) must move |3> -> |1>
     # only if the (3,1) pulse acts first (latest segment leftmost)
     omega = TWO_PI * 1e3
-    p31 = PulseSegment(duration=np.pi / (2 * omega), c31=omega)
-    p32 = PulseSegment(duration=np.pi / (2 * omega), c32=omega)
-    u = propagate(PulseSequence(segments=[p31, p32]))
+    u = propagate(PulseSequence(np.full(2, np.pi / (2 * omega)),
+                                [[omega, 0, 0], [0, omega, 0]],
+                                np.zeros((2, 3))))
     psi = u @ np.array([0, 0, 1, 0], dtype=complex)
     assert abs(psi[0]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -60,31 +62,22 @@ def test_propagate_order_convention():
 @given(split=st.floats(0.1, 0.9))
 @settings(max_examples=20, deadline=None)
 def test_segment_split_associativity(split):
-    seg = PulseSegment(duration=2e-4, c31=700 + 300j, c32=-200j, c34=150.0,
-                       d1=90.0, d2=-40.0, d4=25.0)
-    whole = propagate(PulseSequence(segments=[seg]))
-    a = PulseSegment(duration=seg.duration * split, c31=seg.c31, c32=seg.c32,
-                     c34=seg.c34, d1=seg.d1, d2=seg.d2, d4=seg.d4)
-    b = PulseSegment(duration=seg.duration * (1 - split), c31=seg.c31,
-                     c32=seg.c32, c34=seg.c34, d1=seg.d1, d2=seg.d2,
-                     d4=seg.d4)
-    parts = propagate(PulseSequence(segments=[a, b]))
+    amps = [700 + 300j, -200j, 150.0]
+    dets = [90.0, -40.0, 25.0]
+    whole = propagate(PulseSequence([2e-4], [amps], [dets]))
+    parts = propagate(PulseSequence([2e-4 * split, 2e-4 * (1 - split)],
+                                    [amps, amps], [dets, dets]))
     assert np.max(np.abs(whole - parts)) < 1e-12
 
 
 def test_json_roundtrip_bit_exact(rng):
-    segs = [PulseSegment(duration=float(rng.uniform(1e-6, 1e-4)),
-                         c31=complex(*rng.normal(size=2)),
-                         c32=complex(*rng.normal(size=2)),
-                         c34=complex(*rng.normal(size=2)),
-                         d1=float(rng.normal()), d2=float(rng.normal()),
-                         d4=float(rng.normal()))
-            for _ in range(5)]
-    seq = PulseSequence(segments=segs)
+    seq = PulseSequence(rng.uniform(1e-6, 1e-4, size=5),
+                        rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)),
+                        rng.normal(size=(5, 3)))
     text = seq.to_json()
     back = PulseSequence.from_json(text)
-    for s0, s1 in zip(seq.segments, back.segments):
-        assert s0 == s1
+    for name in ("durations", "amps", "dets"):
+        assert getattr(back, name).tobytes() == getattr(seq, name).tobytes()
     assert back.to_json() == text
 
 
@@ -93,9 +86,16 @@ def test_from_json_rejects_unknown_schema():
         PulseSequence.from_json('{"schema_version": 99, "segments": []}')
 
 
+def test_from_json_rejects_non_positive_duration():
+    seg = {"duration_s": 0.0, "c31": [1.0, 0.0], "c32": [0.0, 0.0],
+           "c34": [0.0, 0.0], "d1": 0.0, "d2": 0.0, "d4": 0.0}
+    text = json.dumps({"schema_version": 1, "segments": [seg]})
+    with pytest.raises(ValueError, match="duration"):
+        PulseSequence.from_json(text)
+
+
 def test_segment_unitaries_extra_diag_shifts_phases():
-    seg = PulseSegment(duration=1e-4)
-    (u,) = segment_unitaries(PulseSequence(segments=[seg]),
+    (u,) = segment_unitaries(_segment(1e-4),
                              extra_diag=np.array([100.0, 0.0, 0.0, 0.0]))
     assert np.angle(u[0, 0]) == pytest.approx(-100.0 * 1e-4)
     assert u[1, 1] == pytest.approx(1.0)
@@ -106,16 +106,18 @@ def test_rwa_coefficients_tone_selectivity():
     e = es.energies
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        seg = rwa_coefficients(
+        seq = rwa_coefficients(
             [MicrowaveTone(1e-6, 0, 0, e[0] - e[2], 0.0), SILENT, SILENT],
             YB171, 1e-4)
-    assert seg.c31 != 0 and seg.c32 == 0 and seg.c34 == 0
+    c31, c32, c34 = seq.amps[0]
+    assert c31 != 0 and c32 == 0 and c34 == 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        seg = rwa_coefficients(
+        seq = rwa_coefficients(
             [SILENT, MicrowaveTone(0, 0, 1e-6, e[1] - e[2], 0.0), SILENT],
             YB171, 1e-4)
-    assert seg.c31 == 0 and seg.c32 != 0 and seg.c34 == 0
+    c31, c32, c34 = seq.amps[0]
+    assert c31 == 0 and c32 != 0 and c34 == 0
 
 
 def test_rwa_coefficient_values():
@@ -124,13 +126,14 @@ def test_rwa_coefficient_values():
     b = 1e-6
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        seg = rwa_coefficients(
+        seq = rwa_coefficients(
             [MicrowaveTone(b, 0, 0, es.energies[0] - es.energies[2], 0.0),
              SILENT, SILENT], YB171, 1e-4)
     want = 0.25 * b * (YB171.gamma_n * np.cos(th / 2)
                        + YB171.gamma_e * np.sin(th / 2))
-    assert seg.c31 == pytest.approx(want, rel=1e-12)
-    assert seg.d1 == pytest.approx(0.0, abs=1e-6)
+    assert seq.durations.tolist() == [1e-4]
+    assert seq.amps[0, 0] == pytest.approx(want, rel=1e-12)
+    assert seq.dets[0, 0] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_rwa_coefficients_amplitude_linearity():
@@ -140,14 +143,14 @@ def test_rwa_coefficients_amplitude_linearity():
         warnings.simplefilter("ignore")
         one = rwa_coefficients(
             [MicrowaveTone(1e-6, 0, 0, e[0] - e[2], 0.0), SILENT, SILENT],
-            YB171, 1e-4).c31
+            YB171, 1e-4).amps[0, 0]
         two = rwa_coefficients(
             [MicrowaveTone(2e-6, 0, 0, e[0] - e[2], 0.0), SILENT, SILENT],
-            YB171, 1e-4).c31
+            YB171, 1e-4).amps[0, 0]
         c34 = rwa_coefficients(
             [SILENT, SILENT,
              MicrowaveTone(1e-6, -2e-6, 0, e[3] - e[2], 0.1)],
-            YB171, 1e-4).c34
+            YB171, 1e-4).amps[0, 2]
     assert two == pytest.approx(2 * one, rel=1e-12)
     th = es.theta0
     want = (0.25 * (1e-6 - 1j * (-2e-6))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fd_gradient
-from spinpair.control import PulseSegment, PulseSequence, propagate
+from spinpair.control import PulseSequence, propagate
 from spinpair.grape import (ALL_GATES, TABLE_GATES, GateTarget, GrapeConfig,
                             gradient, objective, standard_gate, synthesize,
                             target_in_number_basis)
@@ -13,17 +13,12 @@ TWO_PI = 2 * np.pi
 
 
 def _random_sequence(rng, n=4, total=1e-4, scale=2e3):
-    segs = []
+    amps, dets = [], []
     for _ in range(n):
-        segs.append(PulseSegment(
-            duration=total / n,
-            c31=complex(*(scale * rng.normal(size=2))),
-            c32=complex(*(scale * rng.normal(size=2))),
-            c34=complex(*(scale * rng.normal(size=2))),
-            d1=float(scale * rng.normal()),
-            d2=float(scale * rng.normal()),
-            d4=float(scale * rng.normal())))
-    return PulseSequence(segments=segs)
+        amps.append([complex(*(scale * rng.normal(size=2)))
+                     for _ in range(3)])
+        dets.append([float(scale * rng.normal()) for _ in range(3)])
+    return PulseSequence(np.full(n, total / n), amps, dets)
 
 
 @pytest.mark.parametrize("optimize_detunings", [False, True])
@@ -71,9 +66,8 @@ def test_objective_of_exact_pulse_is_one():
     # a resonant pi pulse on (3,1) realizes a known unitary; check the
     # objective against a target built from that same unitary
     omega = TWO_PI * 2e3
-    seq = PulseSequence(segments=[
-        PulseSegment(duration=np.pi / (2 * omega), c31=omega),
-        PulseSegment(duration=1e-9)])
+    seq = PulseSequence([np.pi / (2 * omega), 1e-9],
+                        [[omega, 0, 0], [0, 0, 0]], np.zeros((2, 3)))
     u_number = propagate(seq)
     r = eigensystem(YB171).eigenvectors
     target = GateTarget(name="custom", matrix=r @ u_number @ r.conj().T)
@@ -93,9 +87,7 @@ def test_synthesize_reaches_target_and_respects_bound(all_gate_pulses,
     assert res.converged
     assert res.fidelity >= default_grape_config.target_fidelity
     omax = default_grape_config.omega_max
-    for seg in res.sequence.segments:
-        for c in (seg.c31, seg.c32, seg.c34):
-            assert abs(c) <= omax * (1 + 1e-9)
+    assert np.all(np.abs(res.sequence.amps) <= omax * (1 + 1e-9))
 
 
 def test_synthesized_pulse_implements_gate(all_gate_pulses):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
-from spinpair.control import PulseSegment, PulseSequence
+from spinpair.control import PulseSequence
 from spinpair.grape import standard_gate, target_in_number_basis
 from spinpair.ion import YB171, eigensystem
 from spinpair.linalg import (ChiMatrix, DensityMatrix, process_fidelity,
@@ -57,7 +57,7 @@ def test_ramsey_decay_reaches_1_over_e_at_t2star():
     t2 = 500e-6
     model = NoiseModel(sigma1=calibrate_sigma(t2), sigma2=0.0, sigma4=0.0,
                        n_samples=4000, rng_seed=3)
-    seq = PulseSequence(segments=[PulseSegment(duration=t2)])
+    seq = PulseSequence([t2], np.zeros((1, 3)), np.zeros((1, 3)))
     channel = apply_noise(seq, model)
     psi = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     rho = DensityMatrix(np.outer(psi, psi.conj()), basis="number")
@@ -153,8 +153,8 @@ def test_depolarizing_vs_identity_process_fidelity():
 def test_apply_noise_zero_sigma_is_unitary():
     model = NoiseModel(sigma1=0.0, sigma2=0.0, sigma4=0.0, n_samples=3)
     omega = TWO_PI * 1e3
-    seq = PulseSequence(segments=[
-        PulseSegment(duration=np.pi / (2 * omega), c31=omega)])
+    seq = PulseSequence([np.pi / (2 * omega)], [[omega, 0, 0]],
+                        np.zeros((1, 3)))
     channel = apply_noise(seq, model)
     rho = np.zeros((4, 4), dtype=complex)
     rho[2, 2] = 1.0

@@ -1,0 +1,59 @@
+"""The benchmark's tracer (perfbench/tracing.py) against the package.
+
+The tracer wraps spinpair functions by name from outside the package, so a
+removed or renamed name would otherwise surface only in a traced benchmark
+run.  The tracer module is loaded read-only: no bytecode is written.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_install_wraps_every_target_and_uninstall_restores(
+        monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    mods = {m: importlib.import_module(f"spinpair.{m}")
+            for m in tracing.MODULES}
+    before = {m: dict(vars(mod)) for m, mod in mods.items()}
+    methods = {}
+    for home, attr, *_ in tracing.TARGETS:
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            owner = getattr(mods[home], cls_name)
+            methods[owner, meth] = owner.__dict__[meth]
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        for owner, bound, original in patched:
+            assert getattr(owner, bound) is not original
+        for home, attr, *_ in tracing.TARGETS:
+            if "." in attr:
+                cls_name, meth = attr.split(".")
+                original = methods[getattr(mods[home], cls_name), meth]
+            else:
+                original = before[home][attr]
+            assert any(o is original for _, _, o in patched), attr
+    finally:
+        tracer.uninstall()
+
+    for m, mod in mods.items():
+        now = vars(mod)
+        assert now.keys() == before[m].keys()
+        assert all(now[k] is v for k, v in before[m].items()), m
+    for (owner, meth), original in methods.items():
+        assert owner.__dict__[meth] is original
