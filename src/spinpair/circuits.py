@@ -55,12 +55,12 @@ def gate_channel(gate: GateTarget | PulseSequence, mode: str,
     ``gate`` is a GateTarget in mode "ideal" (its matrix conjugated into
     the number basis) and a PulseSequence in the pulsed modes: "pulsed"
     gives the pulse's propagator, "pulsed+noise" the shot unitaries of
-    ``apply_noise``.  The channel's unitaries are indexed by shot.
+    ``apply_noise``.  ``unitaries`` is (n_shots, 4, 4), one shot if noiseless.
     """
     if mode == "ideal":
-        return NoisyChannel([target_in_number_basis(gate, ion)])
+        return NoisyChannel(target_in_number_basis(gate, ion)[None])
     if mode == "pulsed":
-        return NoisyChannel([propagate(gate)])
+        return NoisyChannel(propagate(gate)[None])
     return apply_noise(gate, noise)
 
 
@@ -95,7 +95,7 @@ def circuit_shots(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
         if op.name not in (pulses or {}):
             raise MissingPulseError(f"no pulse sequence for gate {op.name!r}")
         channel = gate_channel(pulses[op.name], mode, noise, ion)
-        us = np.asarray(channel.unitaries) @ us
+        us = channel.unitaries @ us
     rho = us @ rho_n @ us.conj().transpose(0, 2, 1)
     return r @ rho @ r.conj().T
 

@@ -276,9 +276,11 @@ def cmd_synthesize(cfg: RunConfig, args) -> int:
 
 
 def cmd_qst(cfg: RunConfig, args) -> int:
+    if args.shots < 0:
+        raise ConfigError(f"--shots must be >= 0, got {args.shots}")
     rng = np.random.default_rng(cfg.seed)
     rho = _gate_channel(cfg, args.gate, args.mode)(_LEVEL3)
-    rho_est = qst(lambda: rho, shots=args.shots, rng=rng)
+    rho_est = qst(rho, shots=args.shots, rng=rng)
     ideal = _gate_channel(cfg, args.gate, "ideal")(_LEVEL3)
     fid = state_fidelity(rho_est, ideal)
 
@@ -300,6 +302,8 @@ def cmd_qst(cfg: RunConfig, args) -> int:
 
 
 def cmd_qpt(cfg: RunConfig, args) -> int:
+    if args.shots < 0:
+        raise ConfigError(f"--shots must be >= 0, got {args.shots}")
     rng = np.random.default_rng(cfg.seed)
     target = _gate_target(args.gate)
     process = _gate_channel(cfg, args.gate, args.mode)
@@ -364,6 +368,8 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
     ok = True
 
     if args.check in ("composite-zz", "all"):
+        if args.draws < 1:
+            raise ConfigError(f"--draws must be >= 1, got {args.draws}")
         dists = []
         for _ in range(args.draws):
             mode = NormalMode(omega=cfg.multiion.mode.omega,
@@ -423,7 +429,11 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
 def cmd_noise_sweep(cfg: RunConfig, args) -> int:
     """State fidelity of a long Hadamard pulse under both noise models."""
     cfg_long = copy.copy(cfg)
-    cfg_long.grape = dataclasses.replace(cfg.grape, total_time=args.duration)
+    try:
+        cfg_long.grape = dataclasses.replace(cfg.grape,
+                                             total_time=args.duration)
+    except ValueError as exc:
+        raise ConfigError(f"--duration: {exc}") from exc
 
     seq, _ = ensure_pulse(cfg_long, args.gate)
     ideal = gate_channel(seq, "pulsed")(_LEVEL3)

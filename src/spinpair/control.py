@@ -34,6 +34,10 @@ PULSE_SCHEMA_VERSION = 1
 # Number-basis indices of levels |1..4|
 L1, L2, L3, L4 = 0, 1, 2, 3
 
+# Lab-frame steps per batch: a rwa-check case has ~5e5 steps, and building
+# all their (n, 4, 4) Hamiltonians and propagators at once took ~700 MB.
+_LAB_CHUNK = 4096
+
 
 class RegimeWarning(UserWarning):
     """Control parameters leave the regime where the RWA map is accurate."""
@@ -199,21 +203,20 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
                          f"{fmax / (2 * np.pi):g} Hz")
     n = max(1, int(np.ceil(duration / dt)))
     step = duration / n
-    tmid = (np.arange(n) + 0.5) * step
 
     h0 = free_hamiltonian(p)
     gx = p.gamma_n * I1X + p.gamma_e * I2X
     gy = p.gamma_n * I1Y + p.gamma_e * I2Y
     gz = p.gamma_n * I1Z + p.gamma_e * I2Z
-    hs = np.broadcast_to(h0, (n, 4, 4)).copy()
-    for tone in tones:
-        c = np.cos(tone.omega * tmid + tone.phi)
-        g = tone.bx * gx + tone.by * gy + tone.bz * gz
-        hs -= c[:, None, None] * g
-
-    us = expm_unitary_batch(hs, step)
     u = np.eye(4, dtype=complex)
-    for k in range(n):
-        u = us[k] @ u
+    for start in range(0, n, _LAB_CHUNK):
+        tmid = (np.arange(start, min(start + _LAB_CHUNK, n)) + 0.5) * step
+        hs = np.broadcast_to(h0, (len(tmid), 4, 4)).copy()
+        for tone in tones:
+            c = np.cos(tone.omega * tmid + tone.phi)
+            g = tone.bx * gx + tone.by * gy + tone.bz * gz
+            hs -= c[:, None, None] * g
+        for uk in expm_unitary_batch(hs, step):
+            u = uk @ u
     r = mapping_operator(es.theta0)
     return r.conj().T @ u @ r

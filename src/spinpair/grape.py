@@ -95,6 +95,8 @@ class GrapeConfig:
     def __post_init__(self):
         if self.n_segments < 2:
             raise ValueError("need at least 2 segments")
+        if not self.total_time > 0:
+            raise ValueError("total_time must be positive")
         if not (0 < self.target_fidelity <= 1):
             raise ValueError("target_fidelity must be in (0, 1]")
 

@@ -5,7 +5,8 @@ hardware through the fluorescence complement P3 = 1 - (P1+P2+P4)).  State
 tomography routes populations and coherences into the measurable level
 with pi and pi/2 pulses on the (3,1), (3,2), (3,4) subspaces, then inverts
 the linear map; pairs not involving |3> use a composed route (a pi pulse
-into |3> followed by a pi/2 analysis pulse).
+into |3> followed by a pi/2 analysis pulse).  ``qst`` measures one given
+state in all 16 settings; ``qpt`` applies the process once per input.
 
 Magnetic noise is modeled as quasi-static: each experimental shot draws
 a constant random shift of the |1>, |2>, |4> energies (Gaussian, std
@@ -17,6 +18,7 @@ its confidence interval from those same shots.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -155,37 +157,32 @@ def _hermitian_basis(d: int = 4) -> list:
 
 _QST_BASIS = _hermitian_basis()
 _QST_SETTINGS = qst_settings()
-_QST_DESIGN = None
 
 
+@functools.cache
 def _qst_design() -> np.ndarray:
-    global _QST_DESIGN
-    if _QST_DESIGN is None:
-        rows = []
-        for v in _QST_SETTINGS:
-            eff = v.conj().T @ np.diag([0, 0, 1, 0]).astype(complex) @ v
-            rows.append([np.trace(eff @ b).real for b in _QST_BASIS])
-        a = np.array(rows)
-        if np.linalg.cond(a) > 1e6:
-            raise RuntimeError("tomography schedule is ill-conditioned")
-        _QST_DESIGN = a
-    return _QST_DESIGN
+    rows = []
+    for v in _QST_SETTINGS:
+        eff = v.conj().T @ np.diag([0, 0, 1, 0]).astype(complex) @ v
+        rows.append([np.trace(eff @ b).real for b in _QST_BASIS])
+    a = np.array(rows)
+    if np.linalg.cond(a) > 1e6:
+        raise RuntimeError("tomography schedule is ill-conditioned")
+    return a
 
 
-def qst(prepare, shots: int = 0, rng=None) -> DensityMatrix:
-    """Reconstruct a number-basis density matrix by linear inversion.
+def qst(rho: DensityMatrix, shots: int = 0, rng=None) -> DensityMatrix:
+    """Reconstruct the number-basis state ``rho`` by linear inversion.
 
-    ``prepare`` is invoked once per measurement setting and must return a
-    number-basis DensityMatrix (fresh noise sampling per invocation is
-    fine).
+    All 16 settings rotate and measure the same ``rho``; ``shots`` = 0
+    gives exact |3> populations.
     """
+    if rho.basis != "number":
+        raise ValueError("qst expects a number-basis state")
     if rng is None:
         rng = np.random.default_rng()
     probs = []
     for v in _QST_SETTINGS:
-        rho = prepare()
-        if rho.basis != "number":
-            raise ValueError("prepare must yield a number-basis state")
         rotated = DensityMatrix(v @ rho.entries @ v.conj().T, basis="number")
         probs.append(measure_p3(rotated, shots=shots, rng=rng))
     x, *_ = np.linalg.lstsq(_qst_design(), np.array(probs), rcond=None)
@@ -209,25 +206,19 @@ def qpt_input_states() -> list:
             for b in _SINGLE_QUBIT_INPUTS]
 
 
-_QPT_DESIGN = None
-
-
+@functools.cache
 def _qpt_design() -> np.ndarray:
     # rows indexed by (input j, output entry a,b); columns by (m, n):
     # sum_mn chi_mn (P_m rho_j P_n)_{ab} = rho'_j{ab}
-    global _QPT_DESIGN
-    if _QPT_DESIGN is None:
-        inputs = qpt_input_states()
-        c = np.zeros((16 * 16, 16 * 16), dtype=complex)
-        for jdx, psi in enumerate(inputs):
-            rho = np.outer(psi, psi.conj())
-            for m in range(16):
-                pm_rho = PAULI2[m] @ rho
-                for n in range(16):
-                    block = pm_rho @ PAULI2[n]
-                    c[jdx * 16:(jdx + 1) * 16, m * 16 + n] = block.ravel()
-        _QPT_DESIGN = c
-    return _QPT_DESIGN
+    c = np.zeros((16 * 16, 16 * 16), dtype=complex)
+    for jdx, psi in enumerate(qpt_input_states()):
+        rho = np.outer(psi, psi.conj())
+        for m in range(16):
+            pm_rho = PAULI2[m] @ rho
+            for n in range(16):
+                block = pm_rho @ PAULI2[n]
+                c[jdx * 16:(jdx + 1) * 16, m * 16 + n] = block.ravel()
+    return c
 
 
 def qpt(process, ion: IonParams = YB171, shots: int = 0,
@@ -235,10 +226,11 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0,
     """Standard 16-input-state process tomography; chi in the spin basis.
 
     ``process`` maps a number-basis DensityMatrix to a number-basis
-    DensityMatrix.  Inputs are prepared in the spin basis and conjugated to
-    the number basis for simulation; each output is reconstructed with
-    ``qst`` and mapped back to the spin basis before the chi inversion.
-    A non-trace-preserving process triggers a warning.
+    DensityMatrix and is called once per input state (16 calls).  Inputs
+    are prepared in the spin basis and conjugated to the number basis for
+    simulation; each output is reconstructed with ``qst`` and mapped back
+    to the spin basis before the chi inversion.  An output whose trace is
+    not 1 triggers a warning.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -247,16 +239,11 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0,
     outputs = []
     for psi in qpt_input_states():
         rho_s = DensityMatrix(np.outer(psi, psi.conj()), basis="spin")
-        rho_n = change_basis(rho_s, r, "spin_to_number")
-
-        def prepare(rho_n=rho_n):
-            out = process(rho_n)
-            tr = float(np.trace(out.entries).real)
-            if abs(tr - 1.0) > 1e-6:
-                warnings.warn(f"process is not trace preserving (Tr={tr})")
-            return out
-
-        out_n = qst(prepare, shots=shots, rng=rng)
+        out = process(change_basis(rho_s, r, "spin_to_number"))
+        tr = float(np.trace(out.entries).real)
+        if abs(tr - 1.0) > 1e-6:
+            warnings.warn(f"process is not trace preserving (Tr={tr})")
+        out_n = qst(out, shots=shots, rng=rng)
         outputs.append(change_basis(out_n, r, "number_to_spin").entries)
     rhs = np.concatenate([o.ravel() for o in outputs])
     chi_vec, *_ = np.linalg.lstsq(_qpt_design(), rhs, rcond=None)
@@ -275,24 +262,19 @@ def chi_of_unitary(u: np.ndarray) -> ChiMatrix:
 
 # --- quasi-static noise channel ----------------------------------------------
 
-def _sample_shifts(noise: NoiseModel, n: int, rng) -> np.ndarray:
-    return rng.normal(size=(n, 3)) * np.array(
-        [noise.sigma1, noise.sigma2, noise.sigma4])
-
-
 @dataclass
 class NoisyChannel:
-    """Monte-Carlo mixture of unitaries from quasi-static level shifts."""
+    """Mean of the conjugations by ``unitaries``, an (n_shots, 4, 4) array
+    of number-basis shot unitaries from quasi-static level shifts."""
 
-    unitaries: list
+    unitaries: np.ndarray
 
     def __call__(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.basis != "number":
             raise ValueError("channel acts on number-basis states")
-        out = np.zeros_like(rho.entries)
-        for u in self.unitaries:
-            out += u @ rho.entries @ u.conj().T
-        return DensityMatrix(out / len(self.unitaries), basis="number")
+        us = self.unitaries
+        out = us @ rho.entries @ us.conj().transpose(0, 2, 1)
+        return DensityMatrix(out.mean(axis=0), basis="number")
 
 
 def apply_noise(seq: PulseSequence, noise: NoiseModel) -> NoisyChannel:
@@ -304,9 +286,11 @@ def apply_noise(seq: PulseSequence, noise: NoiseModel) -> NoisyChannel:
     only on ``noise`` (drawn from its rng_seed), so channels built from
     one NoiseModel share their shots; with all sigmas zero there is one.
     """
+    sigmas = (noise.sigma1, noise.sigma2, noise.sigma4)
+    if sigmas == (0.0, 0.0, 0.0):
+        return NoisyChannel(propagate(seq)[None])
     rng = np.random.default_rng(noise.rng_seed)
-    if (noise.sigma1, noise.sigma2, noise.sigma4) == (0.0, 0.0, 0.0):
-        return NoisyChannel([propagate(seq)])
-    shifts = _sample_shifts(noise, noise.n_samples, rng)
-    return NoisyChannel([propagate(seq, extra_diag=np.array([d1, d2, 0.0, d4]))
-                         for d1, d2, d4 in shifts])
+    shifts = rng.normal(size=(noise.n_samples, 3)) * np.array(sigmas)
+    diags = np.insert(shifts, 2, 0.0, axis=1)  # no shift on |3>
+    return NoisyChannel(np.array([propagate(seq, extra_diag=d)
+                                  for d in diags]))

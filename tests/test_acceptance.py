@@ -116,7 +116,7 @@ def test_criterion_07_tomography_reconstruction():
     worst_qst = 1.0
     for _ in range(5):
         rho = DensityMatrix(random_density(rng), basis="number")
-        est = qst(lambda: rho, shots=0, rng=rng)
+        est = qst(rho, shots=0, rng=rng)
         worst_qst = min(worst_qst, state_fidelity(est, rho))
     print(f"criterion 7: worst exact-QST fidelity {worst_qst:.9f}")
     assert worst_qst >= 1 - 1e-6

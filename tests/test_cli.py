@@ -51,9 +51,18 @@ def test_bad_section_value_is_exit_3(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["grover", "--marked", "5"], ["qst", "toffoli"], ["qpt", "oracle9"],
-    ["synthesize", "toffoli"], ["noise-sweep", "--gate", "toffoli"]])
+    ["synthesize", "toffoli"], ["noise-sweep", "--gate", "toffoli"],
+    ["multiion-verify", "composite-zz", "--draws", "0"],
+    ["qst", "hadamard1", "--shots", "-1"], ["qpt", "cphase", "--shots", "-3"],
+    ["noise-sweep", "--duration=0"], ["noise-sweep", "--duration=-1e-4"]])
 def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     code, _ = run_cli(tmp_path, *argv)
+    assert code == EXIT_BAD_CONFIG
+
+
+def test_non_positive_grape_total_time_is_exit_3(tmp_path):
+    code, _ = run_cli(tmp_path, "synthesize", "hadamard1",
+                      config={"grape": {"total_time": 0}})
     assert code == EXIT_BAD_CONFIG
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinpair import control
 from spinpair.control import (MicrowaveTone, PulseSequence, RegimeWarning,
                               control_hamiltonian, propagate,
                               propagate_lab_frame, rwa_coefficients,
@@ -181,6 +182,23 @@ def test_lab_frame_zero_tones_is_free_evolution():
     # in the number basis free evolution is diagonal phases
     want = np.diag(np.exp(-1j * es.energies * t))
     assert np.max(np.abs(u - want)) < 1e-8
+
+
+def test_lab_frame_chunks_give_the_single_batch_product(monkeypatch):
+    # a driven tone makes every step different, so a chunk that restarts
+    # the step times or drops a step changes the product
+    p = _scaled_ion()
+    e = eigensystem(p).energies
+    tones = [MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.0), SILENT, SILENT]
+    t, dt = 1.003e-7, 1e-10
+    n = int(np.ceil(t / dt))
+    assert n % 7 != 0
+    monkeypatch.setattr(control, "_LAB_CHUNK", 7)
+    chunked = propagate_lab_frame(tones, p, t, dt)
+    monkeypatch.setattr(control, "_LAB_CHUNK", n)
+    whole = propagate_lab_frame(tones, p, t, dt)
+    assert np.array_equal(chunked, whole)
+    assert not np.allclose(whole, propagate_lab_frame([SILENT], p, t, dt))
 
 
 def test_lab_frame_rejects_coarse_dt():

@@ -59,6 +59,7 @@ def test_ramsey_decay_reaches_1_over_e_at_t2star():
                        n_samples=4000, rng_seed=3)
     seq = PulseSequence([t2], np.zeros((1, 3)), np.zeros((1, 3)))
     channel = apply_noise(seq, model)
+    assert channel.unitaries.shape == (4000, 4, 4)
     psi = np.array([1, 0, 1, 0], dtype=complex) / np.sqrt(2)
     rho = DensityMatrix(np.outer(psi, psi.conj()), basis="number")
     out = channel(rho)
@@ -86,21 +87,26 @@ def test_qst_settings_count_and_unitarity():
 def test_qst_exact_reconstruction(rng):
     for _ in range(5):
         rho = DensityMatrix(random_density(rng), basis="number")
-        est = qst(lambda: rho, shots=0, rng=rng)
+        est = qst(rho, shots=0, rng=rng)
         assert np.max(np.abs(est.entries - rho.entries)) < 1e-9
         assert state_fidelity(est, rho) >= 1 - 1e-6
 
 
+def test_qst_rejects_spin_basis_state():
+    with pytest.raises(ValueError):
+        qst(DensityMatrix(np.eye(4) / 4, basis="spin"))
+
+
 def test_qst_sampled_converges(rng):
     rho = DensityMatrix(np.diag([0.4, 0.3, 0.2, 0.1]), basis="number")
-    est = qst(lambda: rho, shots=1_000_000, rng=rng)
-    exact = qst(lambda: rho, shots=0, rng=rng)
+    est = qst(rho, shots=1_000_000, rng=rng)
+    exact = qst(rho, shots=0, rng=rng)
     assert np.max(np.abs(est.entries - exact.entries)) < 1e-2
 
 
 def test_qst_output_is_physical(rng):
     rho = DensityMatrix(random_density(rng), basis="number")
-    est = qst(lambda: rho, shots=2000, rng=rng)
+    est = qst(rho, shots=2000, rng=rng)
     w = np.linalg.eigvalsh(est.entries)
     assert w.min() >= -1e-12
     assert np.trace(est.entries).real == pytest.approx(1.0, abs=1e-12)
@@ -126,6 +132,18 @@ def test_qpt_exact_on_unitaries(gate):
     chi = qpt(_unitary_process(u), shots=0)
     want = chi_of_unitary(target.matrix)
     assert process_fidelity(chi, want) >= 1 - 1e-6
+
+
+def test_qpt_calls_process_once_per_input_state():
+    calls = []
+
+    def process(rho):
+        calls.append(rho)
+        return rho
+    chi = qpt(process, shots=0)
+    assert len(calls) == 16
+    ident = chi_of_unitary(np.eye(4, dtype=complex))
+    assert process_fidelity(chi, ident) >= 1 - 1e-6
 
 
 def test_chi_of_unitary_structure():
@@ -156,6 +174,7 @@ def test_apply_noise_zero_sigma_is_unitary():
     seq = PulseSequence([np.pi / (2 * omega)], [[omega, 0, 0]],
                         np.zeros((1, 3)))
     channel = apply_noise(seq, model)
+    assert channel.unitaries.shape == (1, 4, 4)
     rho = np.zeros((4, 4), dtype=complex)
     rho[2, 2] = 1.0
     out = channel(DensityMatrix(rho, basis="number"))

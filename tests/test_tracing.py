@@ -10,6 +10,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from spinpair.control import PulseSequence
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -57,3 +61,23 @@ def test_tracer_install_wraps_every_target_and_uninstall_restores(
         assert all(now[k] is v for k, v in before[m].items()), m
     for (owner, meth), original in methods.items():
         assert owner.__dict__[meth] is original
+
+
+def test_tracer_hooks_count_noise_shots_and_channel_calls(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    tomography = importlib.import_module("spinpair.tomography")
+    seq = PulseSequence([1e-4], [[1e4, 0.0, 0.0]], np.zeros((1, 3)))
+    noise = tomography.NoiseModel(sigma1=1e3, sigma2=1e3, sigma4=1e3,
+                                  n_samples=3)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # through the module: install() rebinds the module's names
+        tomography.qpt(tomography.apply_noise(seq, noise), shots=0)
+    finally:
+        tracer.uninstall()
+    m = tracer.layer_metrics(1.0, 1.0)
+    assert m["tomography.noise_unitaries"] == 3
+    assert m["tomography.NoisyChannel.calls"] == 16
+    assert m["tomography.qst.calls"] == 16
+    assert m["tomography.qpt.calls"] == 1
