@@ -30,8 +30,8 @@ from .circuits import (circuit_shots, gate_channel, grover_circuit,
                        oracle_gate, success_rate)
 from .control import (MicrowaveTone, PulseSequence, propagate,
                       propagate_lab_frame, rwa_coefficients)
-from .grape import (ALL_GATES, GateTarget, GrapeConfig, standard_gate,
-                    synthesize)
+from .grape import (ALL_GATES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
+                    standard_gate, synthesize)
 from .ion import IonParams, YB171, eigensystem
 from .linalg import DensityMatrix, process_fidelity, state_fidelity
 from .multiion import (GradientDrive, NormalMode, TwoIonSystem, composite_zz,
@@ -135,10 +135,12 @@ class RunConfig:
                             drive=drive)
 
     def grape_hash(self) -> str:
-        """Short stable digest identifying the synthesis configuration."""
+        """Short stable digest of the synthesis configuration and the
+        synthesis code's version."""
         payload = json.dumps(
             {"grape": dataclasses.asdict(self.grape),
-             "ion": dataclasses.asdict(self.ion)},
+             "ion": dataclasses.asdict(self.ion),
+             "synthesis_version": SYNTHESIS_VERSION},
             sort_keys=True, default=list)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 

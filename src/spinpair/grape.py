@@ -11,6 +11,12 @@ The optimizer's flat parameter vector stores each coupling as an
 [Re, Im] pair, so ``_pulse`` views it as a ``control.PulseSequence``
 without copying; the fidelity kernel takes only that sequence and runs
 one batched eigendecomposition of all segment Hamiltonians per scaling.
+The gradient is one batched contraction over the segments: with the
+Loewner matrix Gamma_k of segment k and A_k = V_k^dag P_k V_k, where
+Tr(target^dag U) = Tr(P_k U_k), the array
+D_k = conj(tr) conj(V_k) (A_k^T o Gamma_k) V_k^T holds
+conj(tr) dTr/dH_k[i, j] for every matrix element, and every coupling and
+detuning partial is read off D by indexing.
 
 Gate targets are defined in the spin basis; propagation lives in the
 number basis, so targets are conjugated with the mapping operator before
@@ -23,11 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import PulseSequence, control_hamiltonian
+from .control import L1, L2, L3, L4, PulseSequence, control_hamiltonian
 from .ion import IonParams, YB171, mapping_operator, mixing_angle
 from .linalg import kron
 
 TWO_PI = 2.0 * np.pi
+
+# Part of the pulse-cache key: raise it whenever a change to this module can
+# change the pulse ``synthesize`` returns for a given configuration.
+SYNTHESIS_VERSION = 2
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _I2 = np.eye(2, dtype=complex)
@@ -97,6 +107,14 @@ class GrapeConfig:
             raise ValueError("need at least 2 segments")
         if not self.total_time > 0:
             raise ValueError("total_time must be positive")
+        if not self.omega_max > 0:
+            raise ValueError("omega_max must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if self.n_restarts < 1:
+            raise ValueError("n_restarts must be at least 1")
+        if len(self.robustness_scalings) == 0:
+            raise ValueError("robustness_scalings must not be empty")
         if not (0 < self.target_fidelity <= 1):
             raise ValueError("target_fidelity must be in (0, 1]")
 
@@ -134,53 +152,25 @@ def _clip_amplitudes(x: np.ndarray, cfg: GrapeConfig) -> np.ndarray:
     return out
 
 
-# Derivative generators dH/dx for the six amplitude parameters and the
-# three detunings (number-basis 4x4, level 3 has index 2).
-def _derivative_ops():
-    ops = []
-    for (i, j) in ((2, 0), (2, 1), (2, 3)):
-        re = np.zeros((4, 4), dtype=complex)
-        re[i, j] = 1.0
-        re += re.conj().T
-        im = np.zeros((4, 4), dtype=complex)
-        im[i, j] = 1j
-        im += im.conj().T
-        ops.extend([re, im])
-    for k in (0, 1, 3):
-        d = np.zeros((4, 4), dtype=complex)
-        d[k, k] = 1.0
-        ops.append(d)
-    return ops
-
-
-_DERIV_OPS = _derivative_ops()
-
-
-def _loewner(w: np.ndarray, dt: float) -> np.ndarray:
-    """Divided differences of exp(-i w dt) over eigenvalue pairs."""
-    ew = np.exp(-1j * w * dt)
-    dw = w[:, None] - w[None, :]
-    close = np.abs(dw) < 1e-12 * max(1.0, np.max(np.abs(w)))
-    gamma = np.where(close, -1j * dt * ew[:, None],
-                     (ew[:, None] - ew[None, :]) / np.where(close, 1.0, dw))
-    return gamma
+# Levels that couple to |3> and carry the detunings d1, d2, d4.
+_L = [L1, L2, L4]
 
 
 def _fidelity_and_grad(seq: PulseSequence, target_n: np.ndarray, scalings,
-                       want_grad: bool, with_detunings: bool):
+                       want_grad: bool):
     """Mean fidelity over amplitude scalings and, if ``want_grad``, its
-    gradient: amplitude partials (6 per segment) first, then, if
-    ``with_detunings``, detuning partials (3 per segment)."""
-    n = len(seq.durations)
+    gradient as ``(g_amps, g_dets)``: complex (n, 3) whose real and
+    imaginary parts are the partials in Re and Im of c31, c32, c34, and
+    real (n, 3) partials in d1, d2, d4."""
     dts = seq.durations
-    n_par = 9 if with_detunings else 6
     total_f = 0.0
-    grad = np.zeros(n_par * n) if want_grad else None
+    g_amps = np.zeros((len(dts), 3), dtype=complex)
+    g_dets = np.zeros((len(dts), 3))
 
     for s in scalings:
         ws, vs = np.linalg.eigh(control_hamiltonian(seq, scale=s))
-        us = ((vs * np.exp(-1j * ws * dts[:, None])[:, None, :])
-              @ vs.conj().transpose(0, 2, 1))
+        ew = np.exp(-1j * ws * dts[:, None])
+        us = (vs * ew[:, None, :]) @ vs.conj().transpose(0, 2, 1)
         # forward[k] = U_k ... U_1 (forward[0] = I)
         forward = [np.eye(4, dtype=complex)]
         for u in us:
@@ -189,31 +179,32 @@ def _fidelity_and_grad(seq: PulseSequence, target_n: np.ndarray, scalings,
         total_f += float(np.abs(tr) ** 2) / 16.0
         if not want_grad:
             continue
-        # backward[k] = U_N ... U_{k+1}, so U = backward[k] U_k forward[k-1]
-        backward = [None] * (n + 1)
-        backward[n] = np.eye(4, dtype=complex)
-        for k in range(n - 1, -1, -1):
-            backward[k] = backward[k + 1] @ us[k]
-        for k in range(n):
-            gamma = _loewner(ws[k], dts[k])
-            vk = vs[k]
-            pre = target_n.conj().T @ backward[k + 1]
-            post = forward[k]
-            for p_idx in range(n_par):
-                dh = _DERIV_OPS[p_idx]
-                # amplitude params enter scaled by s; detunings do not
-                factor = s if p_idx < 6 else 1.0
-                m = vk.conj().T @ dh @ vk
-                du = vk @ (gamma * m) @ vk.conj().T
-                dtr = np.trace(pre @ du @ post)
-                g = (2.0 / 16.0) * np.real(np.conj(tr) * dtr) * factor
-                if p_idx < 6:
-                    grad[k * 6 + p_idx] += g
-                else:
-                    grad[6 * n + k * 3 + (p_idx - 6)] += g
+        # dU_k = V (gamma o V^dag dH V) V^dag, gamma the divided differences
+        # of exp(-i w dt) over each segment's eigenvalue pairs
+        dw = ws[:, :, None] - ws[:, None, :]
+        tol = 1e-12 * np.maximum(1.0, np.max(np.abs(ws), axis=1))
+        close = np.abs(dw) < tol[:, None, None]
+        gamma = np.where(close, -1j * dts[:, None, None] * ew[:, :, None],
+                         (ew[:, :, None] - ew[:, None, :])
+                         / np.where(close, 1.0, dw))
+        # tr = Tr(P_k U_k) with P_k = forward[k] T^dag U_N ... U_{k+1}, and
+        # U_N ... U_{k+1} = U forward[k+1]^dag
+        fw = np.array(forward)
+        p = (fw[:-1] @ (target_n.conj().T @ fw[-1])
+             @ fw[1:].conj().transpose(0, 2, 1))
+        a = vs.conj().transpose(0, 2, 1) @ p @ vs
+        # d[k, i, j] = conj(tr) dtr / dH_k[i, j]
+        d = np.conj(tr) * (vs.conj() @ (a.transpose(0, 2, 1) * gamma)
+                           @ vs.transpose(0, 2, 1))
+        # H[3, j] = s c_j and H[j, 3] = s conj(c_j), so the Re c_j and Im c_j
+        # partials are s Re(d[3, j] + d[j, 3]) and s Re(i d[3, j] - i d[j, 3]):
+        # the real and imaginary parts of s (conj(d[3, j]) + d[j, 3])
+        g_amps += s * (d[:, L3, _L].conj() + d[:, _L, L3])
+        g_dets += d[:, _L, _L].real
     m_sc = len(scalings)
     if want_grad:
-        return total_f / m_sc, grad / m_sc
+        norm = (2.0 / 16.0) / m_sc
+        return total_f / m_sc, (norm * g_amps, norm * g_dets)
     return total_f / m_sc, None
 
 
@@ -228,7 +219,7 @@ def objective(seq: PulseSequence, target: GateTarget,
               scalings=(1.0,)) -> float:
     """Mean gate fidelity of the sequence over amplitude scalings."""
     f, _ = _fidelity_and_grad(seq, target_in_number_basis(target, ion),
-                              scalings, want_grad=False, with_detunings=False)
+                              scalings, want_grad=False)
     return f
 
 
@@ -240,22 +231,22 @@ def gradient(seq: PulseSequence, target: GateTarget,
     Shape (n_segments, 6) without detunings, (n_segments, 9) with them
     (detuning partials appended per segment).
     """
-    _, g = _fidelity_and_grad(seq, target_in_number_basis(target, ion),
-                              scalings, want_grad=True,
-                              with_detunings=optimize_detunings)
-    n = len(seq.durations)
-    if optimize_detunings:
-        return np.concatenate([g[:6 * n].reshape(n, 6),
-                               g[6 * n:].reshape(n, 3)], axis=1)
-    return g.reshape(n, 6)
+    _, (g_amps, g_dets) = _fidelity_and_grad(
+        seq, target_in_number_basis(target, ion), scalings, want_grad=True)
+    g = g_amps.view(float)
+    return np.hstack([g, g_dets]) if optimize_detunings else g
 
 
 def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
     """Monotone gradient ascent with backtracking line search."""
     def evaluate(x, want_grad):
-        return _fidelity_and_grad(_pulse(x, cfg), target_n,
-                                  cfg.robustness_scalings, want_grad,
-                                  cfg.optimize_detunings)
+        f, g = _fidelity_and_grad(_pulse(x, cfg), target_n,
+                                  cfg.robustness_scalings, want_grad)
+        if want_grad:
+            # laid out like x: amplitudes as [Re, Im] pairs, then detunings
+            g = np.concatenate([g[0].view(float).ravel(),
+                                g[1].ravel()])[:x.size]
+        return f, g
 
     x = _clip_amplitudes(x0, cfg)
     f, g = evaluate(x, want_grad=True)
@@ -297,7 +288,7 @@ def _generalizes(x: np.ndarray, target_n: np.ndarray,
         return True
     mids = [(a + b) / 2 for a, b in zip(sc, sc[1:])]
     f_mid, _ = _fidelity_and_grad(_pulse(x, cfg), target_n, mids,
-                                  want_grad=False, with_detunings=False)
+                                  want_grad=False)
     return f_mid >= 1.0 - 5.0 * (1.0 - cfg.target_fidelity)
 
 
@@ -317,7 +308,7 @@ def synthesize(target: GateTarget, cfg: GrapeConfig,
     best = None
     converged = False
     total_iters = 0
-    for attempt in range(max(1, cfg.n_restarts)):
+    for attempt in range(cfg.n_restarts):
         rng = np.random.default_rng(cfg.rng_seed + attempt)
         x0 = rng.normal(scale=0.05 * cfg.omega_max, size=n_par)
         if cfg.optimize_detunings:

@@ -3,11 +3,14 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from spinpair.cli import (EXIT_BAD_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                           SCHEMA_VERSION, ConfigError, RunConfig, main,
-                          pulse_path, read_versioned_json)
+                          pulse_path, read_versioned_json, write_json)
+from spinpair.control import PulseSequence
+from spinpair.grape import SYNTHESIS_VERSION
 
 # a few GRAPE iterations on a coarse pulse: enough to run every mode
 SMALL = {"grape": {"n_segments": 4, "max_iters": 20, "n_restarts": 1},
@@ -60,9 +63,14 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     assert code == EXIT_BAD_CONFIG
 
 
-def test_non_positive_grape_total_time_is_exit_3(tmp_path):
+@pytest.mark.parametrize("grape", [
+    {"total_time": 0}, {"robustness_scalings": []}, {"n_restarts": 0},
+    {"omega_max": 0}, {"max_iters": 0}],
+    ids=["total_time", "robustness_scalings", "n_restarts", "omega_max",
+         "max_iters"])
+def test_non_positive_grape_total_time_is_exit_3(tmp_path, grape):
     code, _ = run_cli(tmp_path, "synthesize", "hadamard1",
-                      config={"grape": {"total_time": 0}})
+                      config={"grape": grape})
     assert code == EXIT_BAD_CONFIG
 
 
@@ -175,6 +183,26 @@ def test_synthesize_writes_pulse_and_report(small_run, caplog):
     warnings = [r.getMessage() for r in caplog.records
                 if r.levelno == logging.WARNING]
     assert any("hadamard1" in w and str(path) in w for w in warnings)
+
+
+def test_pulse_from_an_older_synthesis_version_is_not_served(tmp_path,
+                                                              monkeypatch):
+    cfg = RunConfig(SMALL, output_dir=str(tmp_path / "run"))
+    with monkeypatch.context() as m:
+        m.setattr("spinpair.cli.SYNTHESIS_VERSION", SYNTHESIS_VERSION - 1)
+        stale = pulse_path(cfg, "hadamard1")
+    assert stale != pulse_path(cfg, "hadamard1")
+    # a converged-looking pulse left by the previous synthesis code
+    idle = PulseSequence(np.full(4, 1e-5), np.zeros((4, 3)), np.zeros((4, 3)))
+    write_json(stale, {"gate": "hadamard1", "pulse": idle.to_json(),
+                       "fidelity": 1.0, "iterations": 0, "converged": True})
+    before = stale.read_bytes()
+    code, _ = run_cli(tmp_path, "qst", "hadamard1", "--mode", "pulsed",
+                      config=SMALL)
+    assert code == EXIT_OK
+    fresh = read_versioned_json(pulse_path(cfg, "hadamard1"))
+    assert fresh["iterations"] > 0
+    assert stale.read_bytes() == before
 
 
 @pytest.mark.parametrize("command", ["qst", "qpt"])

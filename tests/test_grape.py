@@ -21,11 +21,26 @@ def _random_sequence(rng, n=4, total=1e-4, scale=2e3):
     return PulseSequence(np.full(n, total / n), amps, dets)
 
 
-@pytest.mark.parametrize("optimize_detunings", [False, True])
-def test_gradient_matches_finite_differences(optimize_detunings):
+def _degenerate_sequence(rng):
+    # segment 1 is all zero (four equal eigenvalues); segment 2 drives only
+    # c31 with zero detunings, so levels 2 and 4 share eigenvalue 0
+    seq = _random_sequence(rng)
+    seq.amps[1:3] = 0.0
+    seq.amps[2, 0] = TWO_PI * 3e3 * np.exp(0.4j)
+    seq.dets[1:3] = 0.0
+    return seq
+
+
+@pytest.mark.parametrize("make_sequence, optimize_detunings", [
+    pytest.param(_random_sequence, False, id="False"),
+    pytest.param(_random_sequence, True, id="True"),
+    pytest.param(_degenerate_sequence, False, id="degenerate-False"),
+    pytest.param(_degenerate_sequence, True, id="degenerate-True")])
+def test_gradient_matches_finite_differences(make_sequence,
+                                             optimize_detunings):
     rng = np.random.default_rng(5)
     target = standard_gate("cnot12")
-    seq = _random_sequence(rng)
+    seq = make_sequence(rng)
     g = gradient(seq, target, scalings=(0.95, 1.0, 1.05),
                  optimize_detunings=optimize_detunings)
     fd = fd_gradient(seq, target, (0.95, 1.0, 1.05), optimize_detunings)
