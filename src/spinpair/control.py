@@ -15,19 +15,26 @@ is their serialization.
 
 Propagator order convention: rows in time order, latest segment
 leftmost, U = U_N ... U_2 U_1.
+
+``propagate`` and ``segment_unitaries`` batch over the leading axes of
+``extra_diag``: quasi-static noise passes all its shots at once, one
+``expm_unitary_batch`` per segment.  The lab-frame integration multiplies
+its step propagators pairwise within fixed blocks of ``_LAB_BLOCK``
+steps, and the block products one after another in time order.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, IonParams, eigensystem,
                   free_hamiltonian, mapping_operator)
-from .linalg import expm_unitary, expm_unitary_batch
+from .linalg import expm_unitary_batch
 
 PULSE_SCHEMA_VERSION = 1
 
@@ -37,6 +44,10 @@ L1, L2, L3, L4 = 0, 1, 2, 3
 # Lab-frame steps per batch: a rwa-check case has ~5e5 steps, and building
 # all their (n, 4, 4) Hamiltonians and propagators at once took ~700 MB.
 _LAB_CHUNK = 4096
+# Lab-frame steps per pairwise-multiplied block, a power of two.  Blocks
+# are fixed by step index, not by chunk, so the product is the same for
+# every _LAB_CHUNK.
+_LAB_BLOCK = 256
 
 
 class RegimeWarning(UserWarning):
@@ -119,19 +130,28 @@ def control_hamiltonian(seq: PulseSequence, scale: float = 1.0) -> np.ndarray:
 
 
 def segment_unitaries(seq: PulseSequence, scale: float = 1.0,
-                      extra_diag: np.ndarray | None = None) -> list:
-    """Per-segment propagators; ``extra_diag`` adds a static diagonal shift
-    (length-4, rad/s) to every segment Hamiltonian (quasi-static noise)."""
+                      extra_diag: np.ndarray | None = None) -> Iterator:
+    """Per-segment propagators in time order, each of shape (..., 4, 4).
+
+    ``extra_diag`` (..., 4) adds a static diagonal shift (rad/s) to every
+    segment Hamiltonian (quasi-static noise); its leading axes, one per
+    noise shot for instance, become the leading axes of each propagator.
+    With a shift the propagators are computed lazily, one segment at a
+    time, so that a product over them holds one batch at once.
+    """
     hs = control_hamiltonian(seq, scale=scale)
-    if extra_diag is not None:
-        hs = hs + np.diag(extra_diag.astype(complex))
-    return [expm_unitary(h, t) for h, t in zip(hs, seq.durations)]
+    if extra_diag is None:
+        return iter(expm_unitary_batch(hs, seq.durations))
+    shift = np.zeros(np.shape(extra_diag) + (4,), dtype=complex)
+    shift[..., range(4), range(4)] = extra_diag
+    return (expm_unitary_batch(h + shift, t)
+            for h, t in zip(hs, seq.durations))
 
 
 def propagate(seq: PulseSequence, scale: float = 1.0,
               extra_diag: np.ndarray | None = None) -> np.ndarray:
     """Total propagator of the sequence in row order, latest segment
-    leftmost."""
+    leftmost; batched over the leading axes of ``extra_diag``."""
     u = np.eye(4, dtype=complex)
     for uk in segment_unitaries(seq, scale=scale, extra_diag=extra_diag):
         u = uk @ u
@@ -209,6 +229,7 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     gy = p.gamma_n * I1Y + p.gamma_e * I2Y
     gz = p.gamma_n * I1Z + p.gamma_e * I2Z
     u = np.eye(4, dtype=complex)
+    pending = np.empty((0, 4, 4), dtype=complex)  # steps of an open block
     for start in range(0, n, _LAB_CHUNK):
         tmid = (np.arange(start, min(start + _LAB_CHUNK, n)) + 0.5) * step
         hs = np.broadcast_to(h0, (len(tmid), 4, 4)).copy()
@@ -216,7 +237,25 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
             c = np.cos(tone.omega * tmid + tone.phi)
             g = tone.bx * gx + tone.by * gy + tone.bz * gz
             hs -= c[:, None, None] * g
-        for uk in expm_unitary_batch(hs, step):
-            u = uk @ u
+        pending = np.concatenate([pending, expm_unitary_batch(hs, step)])
+        full = len(pending) - len(pending) % _LAB_BLOCK
+        blocks = pending[:full].reshape(-1, _LAB_BLOCK, 4, 4)
+        for ub in _pairwise_product(blocks):
+            u = ub @ u
+        pending = pending[full:]
+    if len(pending):
+        u = _pairwise_product(pending) @ u
     r = mapping_operator(es.theta0)
     return r.conj().T @ u @ r
+
+
+def _pairwise_product(us: np.ndarray) -> np.ndarray:
+    """Time-ordered product over the step axis of ``us`` (..., m, 4, 4),
+    latest step leftmost, multiplied pairwise in log2(m) batched rounds."""
+    while us.shape[-3] > 1:
+        k = us.shape[-3] // 2
+        paired = us[..., 1:2 * k:2, :, :] @ us[..., 0:2 * k:2, :, :]
+        if us.shape[-3] % 2:
+            paired = np.concatenate([paired, us[..., -1:, :, :]], axis=-3)
+        us = paired
+    return us[..., 0, :, :]

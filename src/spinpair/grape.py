@@ -109,12 +109,16 @@ class GrapeConfig:
             raise ValueError("total_time must be positive")
         if not self.omega_max > 0:
             raise ValueError("omega_max must be positive")
+        if not self.step_size > 0:
+            raise ValueError("step_size must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be at least 1")
         if len(self.robustness_scalings) == 0:
             raise ValueError("robustness_scalings must not be empty")
+        if not all(x > 0 for x in self.robustness_scalings):
+            raise ValueError("robustness_scalings must be positive")
         if not (0 < self.target_fidelity <= 1):
             raise ValueError("target_fidelity must be in (0, 1]")
 

@@ -96,7 +96,14 @@ def measure_p3(state: DensityMatrix, shots: int = 0, rng=None) -> float:
     """Population on |3> (number basis); shots = 0 returns the exact value."""
     if state.basis != "number":
         raise ValueError("measure_p3 expects a number-basis state")
-    p3 = float(np.clip(state.entries[2, 2].real, 0.0, 1.0))
+    return float(_read_p3(state.entries[2, 2].real, shots, rng))
+
+
+def _read_p3(p3, shots: int, rng):
+    """Measured |3> populations for the exact populations ``p3`` (a float
+    or an array, one binomial draw per entry in order); shots = 0 returns
+    them clipped to [0, 1]."""
+    p3 = np.clip(p3, 0.0, 1.0)
     if shots == 0:
         return p3
     if shots < 0:
@@ -156,7 +163,7 @@ def _hermitian_basis(d: int = 4) -> list:
 
 
 _QST_BASIS = _hermitian_basis()
-_QST_SETTINGS = qst_settings()
+_QST_SETTINGS = np.array(qst_settings())  # (16, 4, 4)
 
 
 @functools.cache
@@ -179,13 +186,10 @@ def qst(rho: DensityMatrix, shots: int = 0, rng=None) -> DensityMatrix:
     """
     if rho.basis != "number":
         raise ValueError("qst expects a number-basis state")
-    if rng is None:
-        rng = np.random.default_rng()
-    probs = []
-    for v in _QST_SETTINGS:
-        rotated = DensityMatrix(v @ rho.entries @ v.conj().T, basis="number")
-        probs.append(measure_p3(rotated, shots=shots, rng=rng))
-    x, *_ = np.linalg.lstsq(_qst_design(), np.array(probs), rcond=None)
+    vs = _QST_SETTINGS
+    rotated = vs @ rho.entries @ vs.conj().transpose(0, 2, 1)
+    probs = _read_p3(rotated[:, 2, 2].real, shots, rng)
+    x, *_ = np.linalg.lstsq(_qst_design(), probs, rcond=None)
     m = sum(c * b for c, b in zip(x, _QST_BASIS))
     return DensityMatrix(project_psd(m), basis="number")
 
@@ -292,5 +296,4 @@ def apply_noise(seq: PulseSequence, noise: NoiseModel) -> NoisyChannel:
     rng = np.random.default_rng(noise.rng_seed)
     shifts = rng.normal(size=(noise.n_samples, 3)) * np.array(sigmas)
     diags = np.insert(shifts, 2, 0.0, axis=1)  # no shift on |3>
-    return NoisyChannel(np.array([propagate(seq, extra_diag=d)
-                                  for d in diags]))
+    return NoisyChannel(propagate(seq, extra_diag=diags))

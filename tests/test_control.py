@@ -11,7 +11,8 @@ from spinpair.control import (MicrowaveTone, PulseSequence, RegimeWarning,
                               control_hamiltonian, propagate,
                               propagate_lab_frame, rwa_coefficients,
                               segment_unitaries)
-from spinpair.ion import YB171, eigensystem
+from spinpair.ion import (I1X, I2X, YB171, eigensystem, free_hamiltonian,
+                          mapping_operator)
 from spinpair.linalg import expm_unitary
 
 TWO_PI = 2 * np.pi
@@ -100,6 +101,20 @@ def test_segment_unitaries_extra_diag_shifts_phases():
                              extra_diag=np.array([100.0, 0.0, 0.0, 0.0]))
     assert np.angle(u[0, 0]) == pytest.approx(-100.0 * 1e-4)
     assert u[1, 1] == pytest.approx(1.0)
+
+
+def test_propagate_batches_over_noise_shots(rng):
+    seq = PulseSequence(rng.uniform(1e-6, 5e-5, size=5),
+                        1e4 * (rng.normal(size=(5, 3))
+                               + 1j * rng.normal(size=(5, 3))),
+                        1e3 * rng.normal(size=(5, 3)))
+    diags = 1e3 * rng.normal(size=(7, 4))
+    segments = list(segment_unitaries(seq, extra_diag=diags))
+    assert len(segments) == 5
+    assert all(uk.shape == (7, 4, 4) for uk in segments)
+    batched = propagate(seq, extra_diag=diags)
+    assert np.array_equal(batched, np.array(
+        [propagate(seq, extra_diag=d) for d in diags]))
 
 
 def test_rwa_coefficients_tone_selectivity():
@@ -199,6 +214,27 @@ def test_lab_frame_chunks_give_the_single_batch_product(monkeypatch):
     whole = propagate_lab_frame(tones, p, t, dt)
     assert np.array_equal(chunked, whole)
     assert not np.allclose(whole, propagate_lab_frame([SILENT], p, t, dt))
+
+
+def test_lab_frame_pairwise_product_matches_sequential_product():
+    # 1,003 steps: three full blocks and a partial one
+    p = _scaled_ion()
+    es = eigensystem(p)
+    tone = MicrowaveTone(1e-4, 0.0, 0.0, es.energies[0] - es.energies[2],
+                         0.3)
+    t, dt = 1.003e-7, 1e-10
+    n = int(np.ceil(t / dt))
+    assert n % control._LAB_BLOCK != 0 and n > control._LAB_BLOCK
+    step = t / n
+    g = tone.bx * (p.gamma_n * I1X + p.gamma_e * I2X)
+    u = np.eye(4, dtype=complex)
+    for j in range(n):
+        c = np.cos(tone.omega * (j + 0.5) * step + tone.phi)
+        u = expm_unitary(free_hamiltonian(p) - c * g, step) @ u
+    r = mapping_operator(es.theta0)
+    sequential = r.conj().T @ u @ r
+    pairwise = propagate_lab_frame([tone, SILENT, SILENT], p, t, dt)
+    assert np.max(np.abs(pairwise - sequential)) < 1e-11
 
 
 def test_lab_frame_rejects_coarse_dt():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_state, random_unitary
 from spinpair.linalg import (BasisMismatchError, ChiMatrix, DensityMatrix,
-                             StateVector, expm_unitary, gate_fidelity,
+                             StateVector, expm_unitary, expm_unitary_batch,
+                             gate_fidelity,
                              kron, phase_min_distance, process_fidelity,
                              project_psd, state_fidelity)
 
@@ -40,6 +41,21 @@ def test_expm_unitary_is_unitary_and_matches_scalar_case(rng):
 def test_expm_unitary_rejects_non_hermitian():
     with pytest.raises(ValueError):
         expm_unitary(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+def test_expm_unitary_batch_matches_expm_unitary_and_rejects_non_hermitian(
+        rng):
+    a = rng.normal(size=(3, 2, 4, 4)) + 1j * rng.normal(size=(3, 2, 4, 4))
+    hs = a + a.conj().swapaxes(-1, -2)
+    ts = np.array([0.1, 0.2])  # broadcasts against the leading axes (3, 2)
+    us = expm_unitary_batch(hs, ts)
+    assert us.shape == (3, 2, 4, 4)
+    for i in range(3):
+        for j in range(2):
+            assert np.array_equal(us[i, j], expm_unitary(hs[i, j], ts[j]))
+    hs[1, 0, 0, 1] += 1.0   # one non-Hermitian matrix in the batch
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expm_unitary_batch(hs, 0.1)
 
 
 def test_gate_fidelity_bounds_and_known_values(rng):

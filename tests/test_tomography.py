@@ -5,8 +5,9 @@ from conftest import random_density, random_unitary
 from spinpair.control import PulseSequence
 from spinpair.grape import standard_gate, target_in_number_basis
 from spinpair.ion import YB171, eigensystem
+from spinpair import tomography
 from spinpair.linalg import (ChiMatrix, DensityMatrix, process_fidelity,
-                             state_fidelity)
+                             project_psd, state_fidelity)
 from spinpair.tomography import (NoiseModel, PAULI2, T2STAR_FREE,
                                  T2STAR_TRIGGERED, apply_noise,
                                  calibrate_sigma, chi_of_unitary, measure_p3,
@@ -95,6 +96,22 @@ def test_qst_exact_reconstruction(rng):
 def test_qst_rejects_spin_basis_state():
     with pytest.raises(ValueError):
         qst(DensityMatrix(np.eye(4) / 4, basis="spin"))
+
+
+@pytest.mark.parametrize("shots", [0, 500])
+def test_qst_batched_settings_match_per_setting_measurements(rng, shots):
+    # reference: rotate and measure one setting at a time through measure_p3
+    rho = DensityMatrix(random_density(rng), basis="number")
+    ref_rng = np.random.default_rng(11)
+    probs = [measure_p3(DensityMatrix(v @ rho.entries @ v.conj().T,
+                                      basis="number"),
+                        shots=shots, rng=ref_rng)
+             for v in qst_settings()]
+    x, *_ = np.linalg.lstsq(tomography._qst_design(), np.array(probs),
+                            rcond=None)
+    m = sum(c * b for c, b in zip(x, tomography._QST_BASIS))
+    est = qst(rho, shots=shots, rng=np.random.default_rng(11))
+    assert np.array_equal(est.entries, project_psd(m))
 
 
 def test_qst_sampled_converges(rng):
