@@ -368,12 +368,16 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
     report = {"check": args.check, "seed": cfg.seed}
     rows = []
     ok = True
+    for flag, uses in (("draws", "composite-zz"), ("tau", "ms-sweep")):
+        if getattr(args, flag) is not None and args.check not in (uses, "all"):
+            raise ConfigError(f"--{flag} applies only to {uses} and all")
 
     if args.check in ("composite-zz", "all"):
-        if args.draws < 1:
-            raise ConfigError(f"--draws must be >= 1, got {args.draws}")
+        draws = 20 if args.draws is None else args.draws
+        if draws < 1:
+            raise ConfigError(f"--draws must be >= 1, got {draws}")
         dists = []
-        for _ in range(args.draws):
+        for _ in range(draws):
             mode = NormalMode(omega=cfg.multiion.mode.omega,
                               epsilon=float(rng.uniform(0.5e-9, 2e-9)))
             drive = GradientDrive(b_grad=float(rng.uniform(1.0, 30.0)),
@@ -387,20 +391,21 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
             dists.append(dist)
             rows.append(["composite-zz", drive.b_grad,
                          drive.delta, drive.k1, dist])
-        report["composite_zz"] = {"draws": args.draws,
+        report["composite_zz"] = {"draws": draws,
                                   "max_distance": max(dists)}
 
     if args.check in ("ms-sweep", "all"):
+        tau = 0.7 if args.tau is None else args.tau
         sweep = []
         for b0_gauss in (0.0, 2.0, 6.0, 20.0):
             ion = cfg.ion.replace(b_field=b0_gauss * 1e-4)
-            _, dist = ms_composite_xx(args.tau, ion=ion)
+            _, dist = ms_composite_xx(tau, ion=ion)
             sweep.append({"b0_gauss": b0_gauss, "residual": dist})
             rows.append(["ms-sweep", b0_gauss, "", "", dist])
         residuals = [p["residual"] for p in sweep]
         monotone = all(residuals[i] < residuals[i + 1]
                        for i in range(len(residuals) - 1))
-        report["ms_sweep"] = {"tau": args.tau, "points": sweep,
+        report["ms_sweep"] = {"tau": tau, "points": sweep,
                               "monotone": monotone,
                               "floor": residuals[0]}
         ok = ok and monotone
@@ -420,8 +425,6 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
         rows.append(["selectivity", sel["relative_error"],
                      sel["gamma_ratio"], "", ""])
 
-    if not rows:
-        raise ConfigError(f"unknown check {args.check!r}")
     write_json(out / f"multiion_{args.check}.json", report)
     write_rows_csv(out / f"multiion_{args.check}.csv",
                    ["check", "a", "b", "c", "value"], rows)
@@ -555,9 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="two-ion entangling-sequence checks")
     p.add_argument("check", choices=["composite-zz", "ms-sweep",
                                      "disentanglement", "selectivity", "all"])
-    p.add_argument("--draws", type=int, default=20)
-    p.add_argument("--tau", type=float, default=0.7,
-                   help="MS composite target angle")
+    p.add_argument("--draws", type=int,
+                   help="composite-zz random drive draws (default 20)")
+    p.add_argument("--tau", type=float,
+                   help="ms-sweep MS composite target angle (default 0.7)")
     p.set_defaults(func=cmd_multiion_verify)
 
     p = sub.add_parser("noise-sweep",

@@ -7,8 +7,9 @@ the large-field qubit-2 selectivity estimate, and the laser-based
 composite that builds a nuclear-nuclear XX gate from clock-transition
 Molmer-Sorensen interactions.
 
-Two-ion operators put ion p before ion w (slow index first); spin (16-dim)
-before motion (Fock) in the spin-motion space.
+Two-ion operators put ion p before ion w (slow index first).  The
+spin-motion evolution is kept as one motional (Fock) propagator per spin
+basis state, indexed by the 16-dim spin index.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, IonParams, YB171,
                   mapping_operator, mixing_angle)
-from .linalg import expm_unitary, kron, phase_min_distance
+from .linalg import (expm_unitary, expm_unitary_batch, kron,
+                     phase_min_distance)
 
 TWO_PI = 2.0 * np.pi
 I4 = np.eye(4, dtype=complex)
@@ -94,35 +96,34 @@ def coupling_strength(sys: TwoIonSystem, n: int) -> float:
             * (ion.gamma_n + ion.gamma_e) / 4.0 * sys.mode.epsilon)
 
 
-def _fock_ops(cutoff: int):
-    a = np.diag(np.sqrt(np.arange(1, cutoff)), k=1).astype(complex)
-    return a, a.conj().T
-
-
-def spin_motion_hamiltonian(sys: TwoIonSystem, t: float) -> np.ndarray:
-    """Interaction-frame spin-motion Hamiltonian at time t.
-
-    H(t) = -S [e^{-i(delta t - phi)} a + e^{i(delta t - phi)} a^dag]
-    on the (16 * fock_cutoff)-dim spin (x) motion space.
-    """
-    s = spin_z_total(sys)
-    a, adag = _fock_ops(sys.fock_cutoff)
-    ph = np.exp(-1j * (sys.drive.delta * t - sys.drive.phi))
-    return -kron(s, ph * a + np.conj(ph) * adag)
-
-
 def integrate_spin_motion(sys: TwoIonSystem, duration: float,
                           steps_per_period: int = 200) -> np.ndarray:
-    """Midpoint piecewise-constant integration of the spin-motion drive."""
+    """Midpoint piecewise-constant integration of the spin-motion drive.
+
+    H(t) = -S [e^{-i(delta t - phi)} a + e^{i(delta t - phi)} a^dag] with S
+    diagonal, so each spin basis state s evolves its own Fock block.  With
+    P(t) = diag(e^{i(delta t - phi) k}) the bracket is P (a + a^dag) P^dag
+    exactly in the truncated space, so step j is P_j M P_j^dag with
+    M = exp(i s dt (a + a^dag)), and the n-step product is
+    P_{n-1} (M Q)^{n-1} M P_0^dag with Q = P_{j+1}^dag P_j.
+
+    Returns the motional propagators, shape (16, fock_cutoff, fock_cutoff),
+    one per spin basis state.
+    """
     period = TWO_PI / abs(sys.drive.delta)
     n = max(2, int(np.ceil(duration / period * steps_per_period)))
     dt = duration / n
-    dim = 16 * sys.fock_cutoff
-    u = np.eye(dim, dtype=complex)
-    for k in range(n):
-        h = spin_motion_hamiltonian(sys, (k + 0.5) * dt)
-        u = expm_unitary(h, dt) @ u
-    return u
+    k = np.arange(sys.fock_cutoff)
+    a = np.diag(np.sqrt(k[1:]), k=1)
+    s = np.diag(spin_z_total(sys)).real
+    m = expm_unitary_batch(-s[:, None, None] * (a + a.T), dt)
+    q = np.exp(-1j * sys.drive.delta * dt * k)
+    u = np.linalg.matrix_power(m * q, n - 1) @ m
+
+    def p(j):
+        return np.exp(1j * (sys.drive.delta * (j + 0.5) * dt
+                            - sys.drive.phi) * k)
+    return p(n - 1)[:, None] * u * p(0).conj()
 
 
 def uzz_spin_unitary(sys: TwoIonSystem) -> np.ndarray:
@@ -143,15 +144,6 @@ class DisentanglementReport:
     converged: bool
 
 
-def _reduced_spin_map(sys: TwoIonSystem, u_full: np.ndarray,
-                      motion_state: np.ndarray) -> np.ndarray:
-    """<motion| U |motion> block: the conditional spin operator for a
-    motional state that returns to itself (disentangled evolution)."""
-    nf = sys.fock_cutoff
-    u4 = u_full.reshape(16, nf, 16, nf)
-    return np.einsum("m,imjn,n->ij", motion_state.conj(), u4, motion_state)
-
-
 def motion_disentanglement_check(sys: TwoIonSystem,
                                  steps_per_period: int = 300,
                                  motion_fock: int = 0,
@@ -167,14 +159,12 @@ def motion_disentanglement_check(sys: TwoIonSystem,
         s = TwoIonSystem(ions=sys.ions, mode=sys.mode, fock_cutoff=cutoff,
                          drive=sys.drive)
         u = integrate_spin_motion(s, sys.drive.tau, steps_per_period)
-        spin0 = np.ones(16, dtype=complex) / 4.0
-        motion0 = np.zeros(cutoff, dtype=complex)
-        motion0[motion_fock] = 1.0
-        psi = np.kron(spin0, motion0)
-        out = (u @ psi).reshape(16, cutoff)
+        # spin in the uniform superposition, motion in |motion_fock>
+        out = u[:, :, motion_fock] / 4.0
         rho_spin = out @ out.conj().T
         purity = float(np.trace(rho_spin @ rho_spin).real)
-        cond = _reduced_spin_map(s, u, motion0)
+        # <motion_fock| U |motion_fock>: the conditional spin map, diagonal
+        cond = np.diag(u[:, motion_fock, motion_fock])
         residual = phase_min_distance(cond, uzz_spin_unitary(s))
         return purity, residual
 

@@ -57,7 +57,9 @@ def test_bad_section_value_is_exit_3(tmp_path):
     ["synthesize", "toffoli"], ["noise-sweep", "--gate", "toffoli"],
     ["multiion-verify", "composite-zz", "--draws", "0"],
     ["qst", "hadamard1", "--shots", "-1"], ["qpt", "cphase", "--shots", "-3"],
-    ["noise-sweep", "--duration=0"], ["noise-sweep", "--duration=-1e-4"]])
+    ["noise-sweep", "--duration=0"], ["noise-sweep", "--duration=-1e-4"],
+    ["multiion-verify", "ms-sweep", "--draws", "5"],
+    ["multiion-verify", "composite-zz", "--tau", "0.3"]])
 def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     code, _ = run_cli(tmp_path, *argv)
     assert code == EXIT_BAD_CONFIG
@@ -133,6 +135,18 @@ def test_ms_sweep_artifact_shape(tmp_path):
     assert residuals == sorted(residuals)
     assert sweep["monotone"] is True
     assert sweep["floor"] == residuals[0]
+
+
+def test_disentanglement_check(tmp_path):
+    code, out = run_cli(tmp_path, "multiion-verify", "disentanglement")
+    assert code == EXIT_OK
+    report = read_versioned_json(out / "multiion_disentanglement.json")
+    d = report["disentanglement"]
+    assert set(d) == {"spin_purity", "residual", "cutoff_change",
+                      "converged"}
+    assert d["spin_purity"] >= 1 - 1e-6
+    assert d["residual"] <= 1e-6
+    assert d["converged"] is (code == EXIT_OK)
 
 
 def test_selectivity_deterministic_across_runs(tmp_path):

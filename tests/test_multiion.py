@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spinpair.ion import YB171, mixing_angle
+from spinpair.linalg import expm_unitary
 from spinpair.multiion import (GradientDrive, NormalMode, TwoIonSystem,
                                composite_zz, composite_xx_from_zz,
                                coupling_strength, integrate_spin_motion,
@@ -57,6 +58,34 @@ def test_spin_motion_closure_small_cutoff():
                                       check_cutoff=False)
     assert rep.spin_purity >= 1 - 1e-5
     assert rep.residual < 1e-5
+
+
+@pytest.mark.parametrize("fock", [4, 5, 6])
+def test_spin_motion_blocks_match_dense_midpoint_product(fock):
+    # the dense (16 * fock)-dim midpoint product of
+    # H(t) = -S (x) [e^{-i(delta t - phi)} a + e^{i(delta t - phi)} a^dag]
+    sys = TwoIonSystem(
+        mode=NormalMode(omega=TWO_PI * 2e6), fock_cutoff=fock,
+        drive=GradientDrive(b_grad=10.0, delta=TWO_PI * 2e3, phi=0.7, k1=2))
+    steps_per_period = 20
+    n = 2 * steps_per_period
+    dt = sys.drive.tau / n
+    a = np.diag(np.sqrt(np.arange(1, fock)), k=1).astype(complex)
+    s = spin_z_total(sys)
+    dense = np.eye(16 * fock, dtype=complex)
+    for j in range(n):
+        ph = np.exp(-1j * (sys.drive.delta * (j + 0.5) * dt - sys.drive.phi))
+        h = -np.kron(s, ph * a + np.conj(ph) * a.conj().T)
+        dense = expm_unitary(h, dt) @ dense
+    dense = dense.reshape(16, fock, 16, fock)
+
+    blocks = integrate_spin_motion(sys, sys.drive.tau, steps_per_period)
+    assert blocks.shape == (16, fock, fock)
+    for i in range(16):
+        assert np.max(np.abs(blocks[i] - dense[i, :, i, :])) <= 1e-12
+        for j in range(16):
+            if j != i:
+                assert not dense[i, :, j, :].any()
 
 
 def test_composite_zz_exact_for_random_draws():

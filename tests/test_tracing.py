@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from spinpair.control import PulseSequence
+from spinpair.multiion import GradientDrive, NormalMode, TwoIonSystem
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -81,3 +82,23 @@ def test_tracer_hooks_count_noise_shots_and_channel_calls(monkeypatch):
     assert m["tomography.NoisyChannel.calls"] == 16
     assert m["tomography.qst.calls"] == 16
     assert m["tomography.qpt.calls"] == 1
+
+
+def test_tracer_hook_counts_spin_motion_steps(monkeypatch):
+    # the hook binds integrate_spin_motion's argument names
+    tracing = _load_tracing(monkeypatch)
+    multiion = importlib.import_module("spinpair.multiion")
+    sys_ = TwoIonSystem(mode=NormalMode(omega=2 * np.pi * 2e6),
+                        fock_cutoff=4,
+                        drive=GradientDrive(b_grad=10.0,
+                                            delta=2 * np.pi * 2e3, k1=2))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        multiion.motion_disentanglement_check(sys_, steps_per_period=30,
+                                              check_cutoff=False)
+    finally:
+        tracer.uninstall()
+    m = tracer.layer_metrics(1.0, 1.0)
+    assert m["multiion.integrate_spin_motion.calls"] == 1
+    assert m["multiion.spin_motion_steps"] == 2 * 30
