@@ -18,14 +18,24 @@ leftmost, U = U_N ... U_2 U_1.
 
 ``propagate`` and ``segment_unitaries`` batch over the leading axes of
 ``extra_diag``: quasi-static noise passes all its shots at once, one
-``expm_unitary_batch`` per segment.  The lab-frame integration multiplies
-its step propagators pairwise within fixed blocks of ``_LAB_BLOCK``
+``expm_unitary_batch`` per segment.
+
+The lab-frame integration steps H(t) = h0 - sum_t cos(omega_t t + phi_t) g_t
+at midpoints.  A step propagator is an entire function of the scalars
+c_t = cos(...) in [-1, 1], so it is read off a tensor-product Chebyshev
+interpolant in the c_t of each active (non-silent) tone: one
+``expm_unitary_batch`` over the grid nodes, then per step a weighted sum of
+the node propagators.  The degree is the smallest that the Chebyshev
+interpolation bound puts below 2^-60 (see ``_chebyshev_nodes``).  The step
+propagators are multiplied pairwise within fixed blocks of ``_LAB_BLOCK``
 steps, and the block products one after another in time order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -212,10 +222,25 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     """Direct lab-frame integration (no RWA); returns U in the number basis.
 
     Midpoint piecewise-constant stepping.  ``dt`` must resolve the fastest
-    frequency: dt <= (2 pi / max(omega, splittings)) / 50.
+    frequency, the drive strengths ||g_t|| included:
+    dt <= (2 pi / max(omega, splittings, ||g_t||)) / 50.  Step
+    propagators come from the Chebyshev-node interpolant of
+    ``_chebyshev_nodes``.
     """
+    if not (duration > 0 and dt > 0):
+        raise ValueError(f"duration {duration:g} and dt {dt:g} must be "
+                         f"positive")
     es = eigensystem(p)
-    freqs = [abs(t.omega) for t in tones]
+    gx = p.gamma_n * I1X + p.gamma_e * I2X
+    gy = p.gamma_n * I1Y + p.gamma_e * I2Y
+    gz = p.gamma_n * I1Z + p.gamma_e * I2Z
+    drives = [t.bx * gx + t.by * gy + t.bz * gz for t in tones]
+    # silent tones (g = 0) add no axis to the interpolation grid
+    active = [(t, g) for t, g in zip(tones, drives) if np.any(g)]
+    k = len(active)
+    gs = np.array([g for _, g in active]).reshape(k, 4, 4)
+    g_norms = [float(np.linalg.norm(g, 2)) for g in gs]
+    freqs = [abs(t.omega) for t in tones] + g_norms
     freqs += [abs(x) for x in np.subtract.outer(es.energies, es.energies).ravel()]
     fmax = max(freqs)
     if fmax > 0 and dt > (2 * np.pi / fmax) / 50:
@@ -224,20 +249,27 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     n = max(1, int(np.ceil(duration / dt)))
     step = duration / n
 
-    h0 = free_hamiltonian(p)
-    gx = p.gamma_n * I1X + p.gamma_e * I2X
-    gy = p.gamma_n * I1Y + p.gamma_e * I2Y
-    gz = p.gamma_n * I1Z + p.gamma_e * I2Z
+    x = _chebyshev_nodes([step * g for g in g_norms])
+    # node a of the tensor grid, first active tone slowest
+    grid = np.array(list(itertools.product(x, repeat=k))).reshape(
+        len(x) ** k, k)
+    hs = free_hamiltonian(p) - np.tensordot(grid, gs, axes=(1, 0))
+    # real view: (nodes, 4, 8), so the weighted sum is real arithmetic
+    nodes = expm_unitary_batch(hs, step).view(float)
     u = np.eye(4, dtype=complex)
     pending = np.empty((0, 4, 4), dtype=complex)  # steps of an open block
     for start in range(0, n, _LAB_CHUNK):
         tmid = (np.arange(start, min(start + _LAB_CHUNK, n)) + 0.5) * step
-        hs = np.broadcast_to(h0, (len(tmid), 4, 4)).copy()
-        for tone in tones:
-            c = np.cos(tone.omega * tmid + tone.phi)
-            g = tone.bx * gx + tone.by * gy + tone.bz * gz
-            hs -= c[:, None, None] * g
-        pending = np.concatenate([pending, expm_unitary_batch(hs, step)])
+        w = np.ones((len(tmid), 1))
+        for tone, _ in active:
+            lag = _lagrange_weights(x, np.cos(tone.omega * tmid + tone.phi))
+            w = (w[:, :, None] * lag[:, None, :]).reshape(len(tmid), -1)
+        # broadcast multiply-adds, node by node: each step's arithmetic
+        # does not depend on the chunk it falls in
+        us = w[:, 0, None, None] * nodes[0]
+        for a in range(1, len(nodes)):
+            us += w[:, a, None, None] * nodes[a]
+        pending = np.concatenate([pending, us.view(complex)])
         full = len(pending) - len(pending) % _LAB_BLOCK
         blocks = pending[:full].reshape(-1, _LAB_BLOCK, 4, 4)
         for ub in _pairwise_product(blocks):
@@ -247,6 +279,35 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
         u = _pairwise_product(pending) @ u
     r = mapping_operator(es.theta0)
     return r.conj().T @ u @ r
+
+
+def _chebyshev_nodes(bounds) -> np.ndarray:
+    """Chebyshev points of the first kind on [-1, 1] for interpolating a
+    step propagator exp(-i (h0 - sum_t c_t g_t) step) in the scalars c_t.
+
+    ``bounds`` holds B_t = step ||g_t|| per active tone.  The m-th
+    derivative in c_t has norm <= B_t^m, so the degree K is the smallest
+    K >= 1 with 3^(k-1) sum_t B_t^(K+1) / (2^K (K+1)!) <= 2^-60 on the
+    k-dimensional tensor grid; 3 bounds its Lebesgue constant.
+    """
+    k = len(bounds)
+    degree = 1
+    while 3.0 ** (k - 1) * sum(b ** (degree + 1) for b in bounds) > (
+            2.0 ** (degree - 60) * math.factorial(degree + 1)):
+        degree += 1
+    j = np.arange(degree + 1)
+    return np.cos((2 * j + 1) * np.pi / (2 * degree + 2))
+
+
+def _lagrange_weights(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Lagrange basis polynomials of the nodes ``x`` at the points ``c``,
+    shape (len(c), len(x)), in product form."""
+    w = np.ones((len(c), len(x)))
+    for j, xj in enumerate(x):
+        for i, xi in enumerate(x):
+            if i != j:
+                w[:, j] *= (c - xi) / (xj - xi)
+    return w
 
 
 def _pairwise_product(us: np.ndarray) -> np.ndarray:

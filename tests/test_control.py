@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -11,8 +12,8 @@ from spinpair.control import (MicrowaveTone, PulseSequence, RegimeWarning,
                               control_hamiltonian, propagate,
                               propagate_lab_frame, rwa_coefficients,
                               segment_unitaries)
-from spinpair.ion import (I1X, I2X, YB171, eigensystem, free_hamiltonian,
-                          mapping_operator)
+from spinpair.ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, YB171, eigensystem,
+                          free_hamiltonian, mapping_operator)
 from spinpair.linalg import expm_unitary
 
 TWO_PI = 2 * np.pi
@@ -241,3 +242,93 @@ def test_lab_frame_rejects_coarse_dt():
     p = _scaled_ion()
     with pytest.raises(ValueError):
         propagate_lab_frame([SILENT], p, 1e-5, 1e-6)
+
+
+@pytest.mark.parametrize("duration, dt", [(1e-6, -1e-10), (1e-6, 0.0),
+                                          (-1e-6, 1e-10), (0.0, 1e-10)])
+def test_lab_frame_rejects_non_positive_duration_or_dt(duration, dt):
+    with pytest.raises(ValueError, match="positive"):
+        propagate_lab_frame([SILENT], _scaled_ion(), duration, dt)
+
+
+def test_lab_frame_coarse_dt_guard_counts_the_drive():
+    # dt = 1e-10 resolves the level splittings 20 times over; a drive with
+    # ||g|| ~ 8.8e9 rad/s does not fit 50 steps into its period
+    p = _scaled_ion()
+    e = eigensystem(p).energies
+    weak = MicrowaveTone(1e-2, 0.0, 0.0, e[0] - e[2], 0.0)
+    strong = MicrowaveTone(1e-1, 0.0, 0.0, e[0] - e[2], 0.0)
+    propagate_lab_frame([weak, SILENT, SILENT], p, 1e-9, 1e-10)
+    with pytest.raises(ValueError, match="too coarse"):
+        propagate_lab_frame([strong, SILENT, SILENT], p, 1e-9, 1e-10)
+
+
+def _drive(p, tone):
+    return tone.bx * (p.gamma_n * I1X + p.gamma_e * I2X) + tone.by * (
+        p.gamma_n * I1Y + p.gamma_e * I2Y) + tone.bz * (
+        p.gamma_n * I1Z + p.gamma_e * I2Z)
+
+
+def _degree(bounds):
+    """Smallest K >= 1 with 3^(k-1) sum_t B_t^(K+1) / (2^K (K+1)!) <= 2^-60."""
+    k = 1
+    while (3 ** (len(bounds) - 1) * sum(b ** (k + 1) for b in bounds)
+           / (2 ** k * math.factorial(k + 1)) > 2.0 ** -60):
+        k += 1
+    return k
+
+
+def _record_node_counts(monkeypatch):
+    counts = []
+    batch = control.expm_unitary_batch
+
+    def recording(hs, t):
+        counts.append(np.shape(hs)[0])
+        return batch(hs, t)
+    monkeypatch.setattr(control, "expm_unitary_batch", recording)
+    return counts
+
+
+@pytest.mark.parametrize("active", [2, 3])
+def test_lab_frame_multi_tone_grid_matches_sequential_product(monkeypatch,
+                                                              active):
+    # by != 0 makes the drive complex; each tone has its own phase
+    p = _scaled_ion()
+    e = eigensystem(p).energies
+    # at these drives the tensor-grid factor 3^(k-1) raises K from 4 to 5
+    tones = [MicrowaveTone(5e-5, 2.5e-5, 0.0, e[0] - e[2], 0.3),
+             MicrowaveTone(0.0, 1.5e-5, 1e-4, e[1] - e[2], 1.1),
+             MicrowaveTone(3.5e-5, -2e-5, 0.0, e[3] - e[2], -0.8)]
+    tones = tones[:active] + [SILENT] * (3 - active)
+    t, dt = 1.003e-7, 1e-10
+    n = int(np.ceil(t / dt))
+    step = t / n
+    u = np.eye(4, dtype=complex)
+    for j in range(n):
+        h = free_hamiltonian(p) - sum(
+            np.cos(tone.omega * (j + 0.5) * step + tone.phi) * _drive(p, tone)
+            for tone in tones)
+        u = expm_unitary(h, step) @ u
+    r = mapping_operator(eigensystem(p).theta0)
+    sequential = r.conj().T @ u @ r
+    counts = _record_node_counts(monkeypatch)
+    interpolated = propagate_lab_frame(tones, p, t, dt)
+    assert np.max(np.abs(interpolated - sequential)) < 1e-11
+    bounds = [step * np.linalg.norm(_drive(p, tone), 2)
+              for tone in tones[:active]]
+    assert counts == [(_degree(bounds) + 1) ** active]
+
+
+def test_lab_frame_silent_tones_add_no_grid_axis(monkeypatch):
+    p = _scaled_ion()
+    e = eigensystem(p).energies
+    tone = MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.0)
+    t, dt = 1e-8, 1e-10
+    counts = _record_node_counts(monkeypatch)
+    propagate_lab_frame([SILENT, tone, SILENT], p, t, dt)
+    degree = _degree([t / 100 * np.linalg.norm(_drive(p, tone), 2)])
+    assert degree > 1
+    assert counts == [degree + 1]
+    counts.clear()
+    propagate_lab_frame([SILENT, SILENT, SILENT], p, t, dt)
+    assert counts == [1]
