@@ -127,16 +127,19 @@ class MicrowaveTone:
     phi: float = 0.0
 
 
-def control_hamiltonian(seq: PulseSequence, scale: float = 1.0) -> np.ndarray:
+def control_hamiltonian(seq: PulseSequence,
+                        scale: float | np.ndarray = 1.0) -> np.ndarray:
     """Rotating-frame Hamiltonians of all segments, shape (n, 4, 4).
 
     Number basis, rad/s.  ``scale`` multiplies the coupling amplitudes only
-    (amplitude-error model); the detunings are unaffected.
+    (amplitude-error model); the detunings are unaffected.  A 1-D array of
+    S scalings builds all S stacks at once, shape (S, n, 4, 4).
     """
-    h = np.zeros((len(seq.durations), 4, 4), dtype=complex)
-    h[:, L3, [L1, L2, L4]] = scale * seq.amps
-    h[:, [L1, L2, L4], [L1, L2, L4]] = seq.dets / 2
-    return h + h.conj().transpose(0, 2, 1)
+    scale = np.asarray(scale, dtype=float)
+    h = np.zeros(scale.shape + (len(seq.durations), 4, 4), dtype=complex)
+    h[..., L3, [L1, L2, L4]] = scale[..., None, None] * seq.amps
+    h[..., [L1, L2, L4], [L1, L2, L4]] = seq.dets / 2
+    return h + h.conj().swapaxes(-1, -2)
 
 
 def segment_unitaries(seq: PulseSequence, scale: float = 1.0,

@@ -9,10 +9,15 @@ the analytic gradient matches finite differences to solver precision.
 
 The optimizer's flat parameter vector stores each coupling as an
 [Re, Im] pair, so ``_pulse`` views it as a ``control.PulseSequence``
-without copying; the fidelity kernel takes only that sequence and runs
-one batched eigendecomposition of all segment Hamiltonians per scaling.
-The gradient is one batched contraction over the segments: with the
-Loewner matrix Gamma_k of segment k and A_k = V_k^dag P_k V_k, where
+without copying.  ``_Point`` evaluates one such sequence over all S
+robustness scalings at once: one (S, n, 4, 4) stack of segment
+Hamiltonians, one batched eigendecomposition of all S x n of them, and
+one forward loop over the n segments whose steps are (S, 4, 4) products,
+keeping every prefix.  The gradient is computed on demand, only for
+points the ascent accepts, from that evaluation's eigenpairs and
+prefixes; line-search trials cost one evaluation each.  It is one
+batched contraction over the scalings and segments: with the Loewner
+matrix Gamma_k of segment k and A_k = V_k^dag P_k V_k, where
 Tr(target^dag U) = Tr(P_k U_k), the array
 D_k = conj(tr) conj(V_k) (A_k^T o Gamma_k) V_k^T holds
 conj(tr) dTr/dH_k[i, j] for every matrix element, and every coupling and
@@ -103,6 +108,13 @@ class GrapeConfig:
     optimize_detunings: bool = False
 
     def __post_init__(self):
+        for name in ("n_segments", "max_iters", "n_restarts", "rng_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.optimize_detunings, bool):
+            raise TypeError("optimize_detunings must be true or false, got "
+                            f"{self.optimize_detunings!r}")
         if self.n_segments < 2:
             raise ValueError("need at least 2 segments")
         if not self.total_time > 0:
@@ -160,56 +172,70 @@ def _clip_amplitudes(x: np.ndarray, cfg: GrapeConfig) -> np.ndarray:
 _L = [L1, L2, L4]
 
 
-def _fidelity_and_grad(seq: PulseSequence, target_n: np.ndarray, scalings,
-                       want_grad: bool):
-    """Mean fidelity over amplitude scalings and, if ``want_grad``, its
-    gradient as ``(g_amps, g_dets)``: complex (n, 3) whose real and
-    imaginary parts are the partials in Re and Im of c31, c32, c34, and
-    real (n, 3) partials in d1, d2, d4."""
-    dts = seq.durations
-    total_f = 0.0
-    g_amps = np.zeros((len(dts), 3), dtype=complex)
-    g_dets = np.zeros((len(dts), 3))
+class _Point:
+    """One control point evaluated over all amplitude scalings in one batch.
 
-    for s in scalings:
-        ws, vs = np.linalg.eigh(control_hamiltonian(seq, scale=s))
-        ew = np.exp(-1j * ws * dts[:, None])
-        us = (vs * ew[:, None, :]) @ vs.conj().transpose(0, 2, 1)
-        # forward[k] = U_k ... U_1 (forward[0] = I)
-        forward = [np.eye(4, dtype=complex)]
-        for u in us:
-            forward.append(u @ forward[-1])
-        tr = np.trace(target_n.conj().T @ forward[-1])
-        total_f += float(np.abs(tr) ** 2) / 16.0
-        if not want_grad:
-            continue
+    ``fidelity`` is the mean over the scalings; ``gradient`` reuses this
+    evaluation's eigenpairs and forward prefixes.
+    """
+
+    def __init__(self, seq: PulseSequence, target_n: np.ndarray, scalings):
+        self.dts = seq.durations
+        self.target_n = target_n
+        self.scalings = scalings
+        self.ws, self.vs = np.linalg.eigh(
+            control_hamiltonian(seq, scale=scalings))
+        self.ew = np.exp(-1j * self.ws * self.dts[:, None])
+        us = ((self.vs * self.ew[..., None, :])
+              @ self.vs.conj().swapaxes(-1, -2))
+        # forward[k] = U_k ... U_1 for every scaling (forward[0] = I), in
+        # time order: another order moves the pulses in their last bits
+        forward = [np.broadcast_to(np.eye(4, dtype=complex), us[:, 0].shape)]
+        for k in range(len(self.dts)):
+            forward.append(us[:, k] @ forward[-1])
+        self.forward = forward
+        self.tr = np.trace(target_n.conj().T @ forward[-1], axis1=-2,
+                           axis2=-1)
+        total_f = 0.0
+        for tr in self.tr:
+            total_f += float(np.abs(tr) ** 2) / 16.0
+        self.fidelity = total_f / len(scalings)
+
+    def gradient(self):
+        """Gradient of the mean fidelity as ``(g_amps, g_dets)``: complex
+        (n, 3) whose real and imaginary parts are the partials in Re and
+        Im of c31, c32, c34, and real (n, 3) partials in d1, d2, d4."""
+        ws, vs, ew = self.ws, self.vs, self.ew
+        fw = np.stack(self.forward, axis=1)
         # dU_k = V (gamma o V^dag dH V) V^dag, gamma the divided differences
         # of exp(-i w dt) over each segment's eigenvalue pairs
-        dw = ws[:, :, None] - ws[:, None, :]
-        tol = 1e-12 * np.maximum(1.0, np.max(np.abs(ws), axis=1))
-        close = np.abs(dw) < tol[:, None, None]
-        gamma = np.where(close, -1j * dts[:, None, None] * ew[:, :, None],
-                         (ew[:, :, None] - ew[:, None, :])
+        dw = ws[..., :, None] - ws[..., None, :]
+        tol = 1e-12 * np.maximum(1.0, np.max(np.abs(ws), axis=-1))
+        close = np.abs(dw) < tol[..., None, None]
+        gamma = np.where(close,
+                         -1j * self.dts[:, None, None] * ew[..., :, None],
+                         (ew[..., :, None] - ew[..., None, :])
                          / np.where(close, 1.0, dw))
         # tr = Tr(P_k U_k) with P_k = forward[k] T^dag U_N ... U_{k+1}, and
         # U_N ... U_{k+1} = U forward[k+1]^dag
-        fw = np.array(forward)
-        p = (fw[:-1] @ (target_n.conj().T @ fw[-1])
-             @ fw[1:].conj().transpose(0, 2, 1))
-        a = vs.conj().transpose(0, 2, 1) @ p @ vs
-        # d[k, i, j] = conj(tr) dtr / dH_k[i, j]
-        d = np.conj(tr) * (vs.conj() @ (a.transpose(0, 2, 1) * gamma)
-                           @ vs.transpose(0, 2, 1))
-        # H[3, j] = s c_j and H[j, 3] = s conj(c_j), so the Re c_j and Im c_j
-        # partials are s Re(d[3, j] + d[j, 3]) and s Re(i d[3, j] - i d[j, 3]):
-        # the real and imaginary parts of s (conj(d[3, j]) + d[j, 3])
-        g_amps += s * (d[:, L3, _L].conj() + d[:, _L, L3])
-        g_dets += d[:, _L, _L].real
-    m_sc = len(scalings)
-    if want_grad:
-        norm = (2.0 / 16.0) / m_sc
-        return total_f / m_sc, (norm * g_amps, norm * g_dets)
-    return total_f / m_sc, None
+        p = (fw[:, :-1] @ (self.target_n.conj().T @ fw[:, -1:])
+             @ fw[:, 1:].conj().swapaxes(-1, -2))
+        a = vs.conj().swapaxes(-1, -2) @ p @ vs
+        # d[s, k, i, j] = conj(tr_s) dtr_s / dH_sk[i, j]
+        d = (self.tr.conj()[:, None, None, None]
+             * (vs.conj() @ (a.swapaxes(-1, -2) * gamma)
+                @ vs.swapaxes(-1, -2)))
+        g_amps = np.zeros((len(self.dts), 3), dtype=complex)
+        g_dets = np.zeros((len(self.dts), 3))
+        for s, d_s in zip(self.scalings, d):
+            # H[3, j] = s c_j and H[j, 3] = s conj(c_j), so the Re c_j and
+            # Im c_j partials are s Re(d[3, j] + d[j, 3]) and
+            # s Re(i d[3, j] - i d[j, 3]): the real and imaginary parts of
+            # s (conj(d[3, j]) + d[j, 3])
+            g_amps += s * (d_s[:, L3, _L].conj() + d_s[:, _L, L3])
+            g_dets += d_s[:, _L, _L].real
+        norm = (2.0 / 16.0) / len(self.scalings)
+        return norm * g_amps, norm * g_dets
 
 
 def target_in_number_basis(target: GateTarget, ion: IonParams) -> np.ndarray:
@@ -222,9 +248,8 @@ def objective(seq: PulseSequence, target: GateTarget,
               ion: IonParams = YB171,
               scalings=(1.0,)) -> float:
     """Mean gate fidelity of the sequence over amplitude scalings."""
-    f, _ = _fidelity_and_grad(seq, target_in_number_basis(target, ion),
-                              scalings, want_grad=False)
-    return f
+    return _Point(seq, target_in_number_basis(target, ion),
+                  scalings).fidelity
 
 
 def gradient(seq: PulseSequence, target: GateTarget,
@@ -235,47 +260,50 @@ def gradient(seq: PulseSequence, target: GateTarget,
     Shape (n_segments, 6) without detunings, (n_segments, 9) with them
     (detuning partials appended per segment).
     """
-    _, (g_amps, g_dets) = _fidelity_and_grad(
-        seq, target_in_number_basis(target, ion), scalings, want_grad=True)
+    g_amps, g_dets = _Point(seq, target_in_number_basis(target, ion),
+                            scalings).gradient()
     g = g_amps.view(float)
     return np.hstack([g, g_dets]) if optimize_detunings else g
 
 
 def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
-    """Monotone gradient ascent with backtracking line search."""
-    def evaluate(x, want_grad):
-        f, g = _fidelity_and_grad(_pulse(x, cfg), target_n,
-                                  cfg.robustness_scalings, want_grad)
-        if want_grad:
-            # laid out like x: amplitudes as [Re, Im] pairs, then detunings
-            g = np.concatenate([g[0].view(float).ravel(),
-                                g[1].ravel()])[:x.size]
-        return f, g
+    """Monotone gradient ascent with backtracking line search.
+
+    Every point is evaluated once; the gradient is taken only at accepted
+    points, from their evaluation.
+    """
+    def evaluate(x):
+        return _Point(_pulse(x, cfg), target_n, cfg.robustness_scalings)
+
+    def flat_gradient(point):
+        g_amps, g_dets = point.gradient()
+        # laid out like x: amplitudes as [Re, Im] pairs, then detunings
+        return np.concatenate([g_amps.view(float).ravel(),
+                               g_dets.ravel()])[:x0.size]
 
     x = _clip_amplitudes(x0, cfg)
-    f, g = evaluate(x, want_grad=True)
+    point = evaluate(x)
+    g = flat_gradient(point)
     # fidelity is dimensionless, parameters are rad/s: scale the step so a
     # unit step_size moves amplitudes by O(omega_max) per unit gradient
     step = cfg.step_size * cfg.omega_max**2
     iters = 0
-    while f < cfg.target_fidelity and iters < cfg.max_iters:
+    while point.fidelity < cfg.target_fidelity and iters < cfg.max_iters:
         iters += 1
         if np.linalg.norm(g) < 1e-12:
             break
-        accepted = False
         for _ in range(40):
             trial = _clip_amplitudes(x + step * g, cfg)
-            ft, _ = evaluate(trial, want_grad=False)
-            if ft > f:
-                accepted = True
+            trial_point = evaluate(trial)
+            if trial_point.fidelity > point.fidelity:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break
-        x = trial
-        f, g = evaluate(x, want_grad=True)
+        x, point = trial, trial_point
+        g = flat_gradient(point)
         step *= 1.6
-    return x, f, iters
+    return x, point.fidelity, iters
 
 
 def _generalizes(x: np.ndarray, target_n: np.ndarray,
@@ -291,8 +319,7 @@ def _generalizes(x: np.ndarray, target_n: np.ndarray,
     if len(sc) < 2:
         return True
     mids = [(a + b) / 2 for a, b in zip(sc, sc[1:])]
-    f_mid, _ = _fidelity_and_grad(_pulse(x, cfg), target_n, mids,
-                                  want_grad=False)
+    f_mid = _Point(_pulse(x, cfg), target_n, mids).fidelity
     return f_mid >= 1.0 - 5.0 * (1.0 - cfg.target_fidelity)
 
 

@@ -68,9 +68,13 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
 @pytest.mark.parametrize("grape", [
     {"total_time": 0}, {"robustness_scalings": []}, {"n_restarts": 0},
     {"omega_max": 0}, {"max_iters": 0}, {"step_size": 0},
-    {"robustness_scalings": [0.95, 0.0]}],
+    {"robustness_scalings": [0.95, 0.0]}, {"n_segments": 20.0},
+    {"n_restarts": 1.0}, {"rng_seed": 1.5}, {"max_iters": True},
+    {"optimize_detunings": "no"}],
     ids=["total_time", "robustness_scalings", "n_restarts", "omega_max",
-         "max_iters", "step_size", "robustness_scalings_nonpositive"])
+         "max_iters", "step_size", "robustness_scalings_nonpositive",
+         "n_segments_float", "n_restarts_float", "rng_seed_float",
+         "max_iters_bool", "optimize_detunings_string"])
 def test_non_positive_grape_total_time_is_exit_3(tmp_path, grape):
     code, _ = run_cli(tmp_path, "synthesize", "hadamard1",
                       config={"grape": grape})

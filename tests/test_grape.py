@@ -127,3 +127,46 @@ def test_converged_requires_generalization(monkeypatch):
     res = synthesize(standard_gate("identity"), cfg)
     assert res.fidelity >= cfg.target_fidelity
     assert res.converged is False
+
+
+def test_ascent_evaluates_each_point_once(monkeypatch):
+    # one Hamiltonian build per evaluated point: the start point and every
+    # line-search trial, each over all robustness scalings at once
+    import spinpair.grape as grape
+    builds, clips = [], []
+    build, clip = grape.control_hamiltonian, grape._clip_amplitudes
+
+    def counting_build(seq, scale=1.0):
+        h = build(seq, scale=scale)
+        builds.append(h.shape)
+        return h
+
+    def counting_clip(x, cfg):
+        clips.append(1)
+        return clip(x, cfg)
+
+    monkeypatch.setattr(grape, "control_hamiltonian", counting_build)
+    monkeypatch.setattr(grape, "_clip_amplitudes", counting_clip)
+    cfg = GrapeConfig(n_segments=4, max_iters=15, n_restarts=1,
+                      target_fidelity=1.0)
+    res = synthesize(standard_gate("cnot12"), cfg)
+    assert res.iterations == 15
+    assert len(builds) == len(clips) >= 1 + res.iterations
+    assert all(shape == (len(cfg.robustness_scalings), 4, 4, 4)
+               for shape in builds)
+
+
+@pytest.mark.parametrize("optimize_detunings", [False, True])
+def test_batched_scalings_match_per_scaling_definition(optimize_detunings):
+    rng = np.random.default_rng(11)
+    seq = _random_sequence(rng, n=5, scale=2e4)
+    target = standard_gate("swap")
+    sc = (0.9, 1.0, 1.1)
+    f = objective(seq, target, scalings=sc)
+    assert f == sum(objective(seq, target, scalings=(s,)) for s in sc) / 3
+    g = gradient(seq, target, scalings=sc,
+                 optimize_detunings=optimize_detunings)
+    g_each = np.mean([gradient(seq, target, scalings=(s,),
+                               optimize_detunings=optimize_detunings)
+                      for s in sc], axis=0)
+    assert np.max(np.abs(g - g_each)) <= 1e-13 * np.max(np.abs(g_each))
