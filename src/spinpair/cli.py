@@ -65,6 +65,16 @@ _TOP_KEYS = ("schema_version", "seed", "output_dir", "ion", "grape", "noise",
              "multiion")
 
 
+def _typed(name: str, value, kind: type):
+    """``value`` as ``kind``: an int key takes a JSON integer, a float key
+    any JSON number; ``true`` and ``false`` are neither."""
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
 class RunConfig:
     """Validated run configuration assembled from JSON plus flag overrides."""
 
@@ -77,7 +87,8 @@ class RunConfig:
         if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ConfigError("unsupported config schema_version")
 
-        self.seed = int(seed if seed is not None else data.get("seed", 0))
+        self.seed = _typed("seed", seed if seed is not None
+                           else data.get("seed", 0), int)
         self.output_dir = Path(output_dir if output_dir is not None
                                else data.get("output_dir", "out"))
 
@@ -97,7 +108,8 @@ class RunConfig:
 
     def _build_ion(self, d: dict) -> IonParams:
         self._check_keys("ion", d, _ION_KEYS)
-        return YB171.replace(**{k: float(v) for k, v in d.items()})
+        return YB171.replace(**{k: _typed(f"ion.{k}", v, float)
+                                for k, v in d.items()})
 
     def _build_grape(self, d: dict) -> GrapeConfig:
         self._check_keys("grape", d, _GRAPE_KEYS)
@@ -110,12 +122,12 @@ class RunConfig:
 
     def _build_noise(self, d: dict) -> NoiseModel:
         self._check_keys("noise", d, _NOISE_KEYS)
-        n_samples = int(d.get("n_samples", 200))
+        n_samples = _typed("noise.n_samples", d.get("n_samples", 200), int)
         model = d.get("model", "free")
-        if any(k in d for k in ("sigma1", "sigma2", "sigma4")):
-            return NoiseModel(sigma1=float(d["sigma1"]),
-                              sigma2=float(d["sigma2"]),
-                              sigma4=float(d["sigma4"]),
+        sigmas = ("sigma1", "sigma2", "sigma4")
+        if any(k in d for k in sigmas):
+            return NoiseModel(**{k: _typed(f"noise.{k}", d.get(k), float)
+                                 for k in sigmas},
                               n_samples=n_samples, rng_seed=self.seed)
         if model == "free":
             return noise_model_free(n_samples, rng_seed=self.seed)
@@ -125,13 +137,16 @@ class RunConfig:
 
     def _build_multiion(self, d: dict) -> TwoIonSystem:
         self._check_keys("multiion", d, _MULTIION_KEYS)
-        mode = NormalMode(omega=float(d.get("mode_omega", 2 * np.pi * 2e6)),
-                          epsilon=float(d.get("epsilon", 1e-9)))
-        drive = GradientDrive(b_grad=float(d.get("b_grad", 10.0)),
-                              delta=float(d.get("delta", 2 * np.pi * 2e3)),
-                              k1=int(d.get("k1", 1)))
+
+        def get(key, default, kind=float):
+            return _typed(f"multiion.{key}", d.get(key, default), kind)
+        mode = NormalMode(omega=get("mode_omega", 2 * np.pi * 2e6),
+                          epsilon=get("epsilon", 1e-9))
+        drive = GradientDrive(b_grad=get("b_grad", 10.0),
+                              delta=get("delta", 2 * np.pi * 2e3),
+                              k1=get("k1", 1, int))
         return TwoIonSystem(ions=(self.ion, self.ion), mode=mode,
-                            fock_cutoff=int(d.get("fock_cutoff", 16)),
+                            fock_cutoff=get("fock_cutoff", 16, int),
                             drive=drive)
 
     def grape_hash(self) -> str:
@@ -325,9 +340,6 @@ def cmd_qpt(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-_GROVER_GATES = ("hadamard1", "hadamard2", "c00")
-
-
 def cmd_grover(cfg: RunConfig, args) -> int:
     _gate_target(f"oracle{args.marked}")  # rejects a marked state not in 1..4
     circuit = grover_circuit(args.marked)
@@ -337,7 +349,7 @@ def cmd_grover(cfg: RunConfig, args) -> int:
 
     pulses = {}
     if args.mode != "ideal":
-        for name in _GROVER_GATES + (f"oracle{args.marked}",):
+        for name in dict.fromkeys(op.name for op in circuit.ops):
             pulses[name], _ = ensure_pulse(cfg, name)
     shots = circuit_shots(circuit, args.mode, pulses, cfg.noise, cfg.ion)
     final = DensityMatrix(shots.mean(axis=0), basis="spin")

@@ -54,10 +54,11 @@ L1, L2, L3, L4 = 0, 1, 2, 3
 # Lab-frame steps per batch: a rwa-check case has ~5e5 steps, and building
 # all their (n, 4, 4) Hamiltonians and propagators at once took ~700 MB.
 _LAB_CHUNK = 4096
-# Lab-frame steps per pairwise-multiplied block, a power of two.  Blocks
-# are fixed by step index, not by chunk, so the product is the same for
-# every _LAB_CHUNK.
+# Lab-frame steps per pairwise-multiplied block, a power of two.  A chunk
+# is a whole number of blocks, so blocks are fixed by step index and the
+# product does not depend on _LAB_CHUNK.
 _LAB_BLOCK = 256
+assert _LAB_CHUNK % _LAB_BLOCK == 0
 
 
 class RegimeWarning(UserWarning):
@@ -142,7 +143,7 @@ def control_hamiltonian(seq: PulseSequence,
     return h + h.conj().swapaxes(-1, -2)
 
 
-def segment_unitaries(seq: PulseSequence, scale: float = 1.0,
+def segment_unitaries(seq: PulseSequence,
                       extra_diag: np.ndarray | None = None) -> Iterator:
     """Per-segment propagators in time order, each of shape (..., 4, 4).
 
@@ -152,7 +153,7 @@ def segment_unitaries(seq: PulseSequence, scale: float = 1.0,
     With a shift the propagators are computed lazily, one segment at a
     time, so that a product over them holds one batch at once.
     """
-    hs = control_hamiltonian(seq, scale=scale)
+    hs = control_hamiltonian(seq)
     if extra_diag is None:
         return iter(expm_unitary_batch(hs, seq.durations))
     shift = np.zeros(np.shape(extra_diag) + (4,), dtype=complex)
@@ -161,12 +162,12 @@ def segment_unitaries(seq: PulseSequence, scale: float = 1.0,
             for h, t in zip(hs, seq.durations))
 
 
-def propagate(seq: PulseSequence, scale: float = 1.0,
+def propagate(seq: PulseSequence,
               extra_diag: np.ndarray | None = None) -> np.ndarray:
     """Total propagator of the sequence in row order, latest segment
     leftmost; batched over the leading axes of ``extra_diag``."""
     u = np.eye(4, dtype=complex)
-    for uk in segment_unitaries(seq, scale=scale, extra_diag=extra_diag):
+    for uk in segment_unitaries(seq, extra_diag=extra_diag):
         u = uk @ u
     return u
 
@@ -260,7 +261,6 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     # real view: (nodes, 4, 8), so the weighted sum is real arithmetic
     nodes = expm_unitary_batch(hs, step).view(float)
     u = np.eye(4, dtype=complex)
-    pending = np.empty((0, 4, 4), dtype=complex)  # steps of an open block
     for start in range(0, n, _LAB_CHUNK):
         tmid = (np.arange(start, min(start + _LAB_CHUNK, n)) + 0.5) * step
         w = np.ones((len(tmid), 1))
@@ -272,14 +272,13 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
         us = w[:, 0, None, None] * nodes[0]
         for a in range(1, len(nodes)):
             us += w[:, a, None, None] * nodes[a]
-        pending = np.concatenate([pending, us.view(complex)])
-        full = len(pending) - len(pending) % _LAB_BLOCK
-        blocks = pending[:full].reshape(-1, _LAB_BLOCK, 4, 4)
-        for ub in _pairwise_product(blocks):
+        us = us.view(complex)
+        # only the last chunk can end in a partial block
+        full = len(us) - len(us) % _LAB_BLOCK
+        for ub in _pairwise_product(us[:full].reshape(-1, _LAB_BLOCK, 4, 4)):
             u = ub @ u
-        pending = pending[full:]
-    if len(pending):
-        u = _pairwise_product(pending) @ u
+        if full < len(us):
+            u = _pairwise_product(us[full:]) @ u
     r = mapping_operator(es.theta0)
     return r.conj().T @ u @ r
 

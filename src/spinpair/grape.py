@@ -99,7 +99,6 @@ class GrapeConfig:
     # 10 Rabi periods: long enough for every two-qubit target, short enough
     # that fidelity stays smooth across the robustness-scaling ensemble
     total_time: float = 10 * TWO_PI / (TWO_PI * 20e3)
-    step_size: float = 1.0
     max_iters: int = 4000
     target_fidelity: float = 0.999
     robustness_scalings: tuple = (0.95, 1.0, 1.05)
@@ -112,6 +111,13 @@ class GrapeConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        numbers = [(name, getattr(self, name)) for name in
+                   ("omega_max", "total_time", "target_fidelity")]
+        numbers += [("robustness_scalings", x)
+                    for x in self.robustness_scalings]
+        for name, value in numbers:
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
         if not isinstance(self.optimize_detunings, bool):
             raise TypeError("optimize_detunings must be true or false, got "
                             f"{self.optimize_detunings!r}")
@@ -121,8 +127,6 @@ class GrapeConfig:
             raise ValueError("total_time must be positive")
         if not self.omega_max > 0:
             raise ValueError("omega_max must be positive")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.n_restarts < 1:
@@ -284,9 +288,9 @@ def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
     x = _clip_amplitudes(x0, cfg)
     point = evaluate(x)
     g = flat_gradient(point)
-    # fidelity is dimensionless, parameters are rad/s: scale the step so a
-    # unit step_size moves amplitudes by O(omega_max) per unit gradient
-    step = cfg.step_size * cfg.omega_max**2
+    # fidelity is dimensionless, parameters are rad/s: scale the first step
+    # so it moves amplitudes by O(omega_max) per unit gradient
+    step = cfg.omega_max**2
     iters = 0
     while point.fidelity < cfg.target_fidelity and iters < cfg.max_iters:
         iters += 1

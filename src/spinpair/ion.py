@@ -116,17 +116,16 @@ class EigenSystem:
 
     energies: np.ndarray
     eigenvectors: np.ndarray
-    lam: float
     theta0: float
 
 
 def eigensystem(p: IonParams) -> EigenSystem:
-    lam, theta0 = mixing_angle(p)
+    _, theta0 = mixing_angle(p)
     r = mapping_operator(theta0)
     h0 = free_hamiltonian(p)
     energies = np.real(np.diag(r.conj().T @ h0 @ r)).copy()
     return EigenSystem(energies=energies, eigenvectors=r.copy(),
-                       lam=lam, theta0=theta0)
+                       theta0=theta0)
 
 
 def change_basis(m, r: np.ndarray, direction: str):

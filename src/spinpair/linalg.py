@@ -16,7 +16,7 @@ HERM_ATOL = 1e-10
 
 
 class BasisMismatchError(ValueError):
-    """Operands carry incompatible basis tags or operator bases."""
+    """Operands carry incompatible basis tags."""
 
 
 @dataclass
@@ -33,14 +33,6 @@ class StateVector:
         norm2 = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if abs(norm2 - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |psi|^2 = {norm2}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()),
-                             basis=self.basis)
 
 
 @dataclass
@@ -71,21 +63,16 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def populations(self) -> np.ndarray:
-        return self.entries.diagonal().real.copy()
-
 
 @dataclass
 class ChiMatrix:
     """Process matrix in the two-qubit Pauli operator basis (spin basis).
 
-    ``entries`` is 16x16; when ``normalized`` the trace is 1 so that
-    ``process_fidelity`` reduces to Tr(chi_a chi_b) for unitary targets.
+    ``entries`` is 16x16 with trace 1, so that ``process_fidelity``
+    reduces to Tr(chi_a chi_b) for unitary targets.
     """
 
     entries: np.ndarray
-    op_basis: str = "pauli"
-    normalized: bool = True
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -98,11 +85,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def assert_hermitian(h: np.ndarray, atol: float = HERM_ATOL):
+def assert_hermitian(h: np.ndarray):
     """Raise unless ``h`` (or every matrix of a stack ``h``) is Hermitian."""
     dev = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))
     scale = max(1.0, float(np.max(np.abs(h))))
-    if dev > atol * scale:
+    if dev > HERM_ATOL * scale:
         raise ValueError(f"matrix not Hermitian (deviation {dev:.3e})")
 
 
@@ -161,25 +148,20 @@ def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 def process_fidelity(chi_a: ChiMatrix, chi_b: ChiMatrix) -> float:
     """Tr(chi_a chi_b) for trace-normalized chi of a unitary target."""
-    if chi_a.op_basis != chi_b.op_basis:
-        raise BasisMismatchError(
-            f"operator basis {chi_a.op_basis!r} vs {chi_b.op_basis!r}")
     f = float(np.trace(chi_a.entries @ chi_b.entries).real)
     return min(max(f, 0.0), 1.0)
 
 
-def project_psd(m: np.ndarray, unit_trace: bool = True) -> np.ndarray:
+def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest-PSD projection: Hermitize, clip eigenvalues, renormalize trace."""
     m = 0.5 * (m + m.conj().T)
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
     out = (v * w) @ v.conj().T
-    if unit_trace:
-        tr = np.trace(out).real
-        if tr <= 0:
-            raise ValueError("projection collapsed to zero trace")
-        out = out / tr
-    return out
+    tr = np.trace(out).real
+    if tr <= 0:
+        raise ValueError("projection collapsed to zero trace")
+    return out / tr
 
 
 def phase_min_distance(a: np.ndarray, b: np.ndarray) -> float:

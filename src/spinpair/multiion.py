@@ -146,7 +146,6 @@ class DisentanglementReport:
 
 def motion_disentanglement_check(sys: TwoIonSystem,
                                  steps_per_period: int = 300,
-                                 motion_fock: int = 0,
                                  check_cutoff: bool = True
                                  ) -> DisentanglementReport:
     """Evolve a separable spin (x) motion state to tau and verify closure.
@@ -159,12 +158,12 @@ def motion_disentanglement_check(sys: TwoIonSystem,
         s = TwoIonSystem(ions=sys.ions, mode=sys.mode, fock_cutoff=cutoff,
                          drive=sys.drive)
         u = integrate_spin_motion(s, sys.drive.tau, steps_per_period)
-        # spin in the uniform superposition, motion in |motion_fock>
-        out = u[:, :, motion_fock] / 4.0
+        # spin in the uniform superposition, motion in its ground state |0>
+        out = u[:, :, 0] / 4.0
         rho_spin = out @ out.conj().T
         purity = float(np.trace(rho_spin @ rho_spin).real)
-        # <motion_fock| U |motion_fock>: the conditional spin map, diagonal
-        cond = np.diag(u[:, motion_fock, motion_fock])
+        # <0| U |0>: the conditional spin map, diagonal
+        cond = np.diag(u[:, 0, 0])
         residual = phase_min_distance(cond, uzz_spin_unitary(s))
         return purity, residual
 

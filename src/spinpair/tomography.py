@@ -36,7 +36,6 @@ _P1 = [np.eye(2, dtype=complex),
        np.array([[0, -1j], [1j, 0]], dtype=complex),
        np.array([[1, 0], [0, -1]], dtype=complex)]
 PAULI2 = [kron(a, b) for a in _P1 for b in _P1]
-PAULI2_LABELS = [a + b for a in "IXYZ" for b in "IXYZ"]
 
 
 @dataclass(frozen=True)
@@ -251,17 +250,14 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0,
         outputs.append(change_basis(out_n, r, "number_to_spin").entries)
     rhs = np.concatenate([o.ravel() for o in outputs])
     chi_vec, *_ = np.linalg.lstsq(_qpt_design(), rhs, rcond=None)
-    chi = chi_vec.reshape(16, 16)
-    chi = project_psd(chi, unit_trace=True)
-    return ChiMatrix(chi, op_basis="pauli", normalized=True)
+    return ChiMatrix(project_psd(chi_vec.reshape(16, 16)))
 
 
 def chi_of_unitary(u: np.ndarray) -> ChiMatrix:
     """Analytic trace-normalized chi matrix of a 4x4 spin-basis unitary."""
     coeffs = np.array([np.trace(p.conj().T @ u) / 4.0 for p in PAULI2])
     coeffs = coeffs / np.linalg.norm(coeffs)
-    return ChiMatrix(np.outer(coeffs, coeffs.conj()), op_basis="pauli",
-                     normalized=True)
+    return ChiMatrix(np.outer(coeffs, coeffs.conj()))
 
 
 # --- quasi-static noise channel ----------------------------------------------

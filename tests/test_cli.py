@@ -65,19 +65,28 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     assert code == EXIT_BAD_CONFIG
 
 
-@pytest.mark.parametrize("grape", [
+@pytest.mark.parametrize("config", [{"grape": grape} for grape in [
     {"total_time": 0}, {"robustness_scalings": []}, {"n_restarts": 0},
     {"omega_max": 0}, {"max_iters": 0}, {"step_size": 0},
     {"robustness_scalings": [0.95, 0.0]}, {"n_segments": 20.0},
     {"n_restarts": 1.0}, {"rng_seed": 1.5}, {"max_iters": True},
-    {"optimize_detunings": "no"}],
+    {"optimize_detunings": "no"}, {"omega_max": True},
+    {"robustness_scalings": [True, 1]}]] + [
+    {"seed": 1.5}, {"seed": True}, {"noise": {"n_samples": 2.7}},
+    {"multiion": {"fock_cutoff": 16.9}}, {"multiion": {"k1": 1.5}},
+    {"ion": {"b_field": True}},
+    {"noise": {"sigma1": True, "sigma2": 1.0, "sigma4": 1.0}},
+    {"noise": {"sigma1": 1.0}}],
     ids=["total_time", "robustness_scalings", "n_restarts", "omega_max",
          "max_iters", "step_size", "robustness_scalings_nonpositive",
          "n_segments_float", "n_restarts_float", "rng_seed_float",
-         "max_iters_bool", "optimize_detunings_string"])
-def test_non_positive_grape_total_time_is_exit_3(tmp_path, grape):
-    code, _ = run_cli(tmp_path, "synthesize", "hadamard1",
-                      config={"grape": grape})
+         "max_iters_bool", "optimize_detunings_string", "omega_max_bool",
+         "robustness_scalings_bool", "seed_float", "seed_bool",
+         "noise_n_samples_float", "multiion_fock_cutoff_float",
+         "multiion_k1_float", "ion_b_field_bool", "noise_sigma1_bool",
+         "noise_sigma2_missing"])
+def test_non_positive_grape_total_time_is_exit_3(tmp_path, config):
+    code, _ = run_cli(tmp_path, "synthesize", "hadamard1", config=config)
     assert code == EXIT_BAD_CONFIG
 
 

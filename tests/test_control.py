@@ -208,13 +208,16 @@ def test_lab_frame_chunks_give_the_single_batch_product(monkeypatch):
     tones = [MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.0), SILENT, SILENT]
     t, dt = 1.003e-7, 1e-10
     n = int(np.ceil(t / dt))
-    assert n % 7 != 0
-    monkeypatch.setattr(control, "_LAB_CHUNK", 7)
-    chunked = propagate_lab_frame(tones, p, t, dt)
-    monkeypatch.setattr(control, "_LAB_CHUNK", n)
-    whole = propagate_lab_frame(tones, p, t, dt)
-    assert np.array_equal(chunked, whole)
-    assert not np.allclose(whole, propagate_lab_frame([SILENT], p, t, dt))
+    block = control._LAB_BLOCK
+    assert n % block != 0
+    products = []
+    # chunks of 1 and 2 blocks, and one chunk holding every step
+    for blocks in (1, 2, -(-n // block)):
+        monkeypatch.setattr(control, "_LAB_CHUNK", blocks * block)
+        products.append(propagate_lab_frame(tones, p, t, dt))
+    assert all(np.array_equal(u, products[-1]) for u in products)
+    assert not np.allclose(products[-1],
+                           propagate_lab_frame([SILENT], p, t, dt))
 
 
 def test_lab_frame_pairwise_product_matches_sequential_product():

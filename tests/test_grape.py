@@ -170,3 +170,14 @@ def test_batched_scalings_match_per_scaling_definition(optimize_detunings):
                                optimize_detunings=optimize_detunings)
                       for s in sc], axis=0)
     assert np.max(np.abs(g - g_each)) <= 1e-13 * np.max(np.abs(g_each))
+
+
+def test_synthesize_with_detunings():
+    cfg = GrapeConfig(n_restarts=1, optimize_detunings=True)
+    target = standard_gate("phase2")
+    res = synthesize(target, cfg)
+    assert res.converged
+    assert np.any(res.sequence.dets != 0)
+    assert np.all(np.abs(res.sequence.amps) <= cfg.omega_max)
+    assert objective(res.sequence, target,
+                     scalings=cfg.robustness_scalings) == res.fidelity

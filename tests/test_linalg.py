@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_state, random_unitary
-from spinpair.linalg import (BasisMismatchError, ChiMatrix, DensityMatrix,
-                             StateVector, expm_unitary, expm_unitary_batch,
-                             gate_fidelity,
-                             kron, phase_min_distance, process_fidelity,
-                             project_psd, state_fidelity)
+from spinpair.linalg import (DensityMatrix, StateVector, expm_unitary,
+                             expm_unitary_batch, gate_fidelity, kron,
+                             phase_min_distance, project_psd, state_fidelity)
 
 
 def test_state_vector_normalization_enforced():
@@ -123,13 +121,3 @@ def test_kron_matches_numpy(rng):
     a = rng.normal(size=(4, 4))
     b = rng.normal(size=(4, 4))
     assert np.allclose(kron(a, b), np.kron(a, b))
-
-
-def test_process_fidelity_requires_matching_basis():
-    eye = np.zeros((16, 16))
-    eye[0, 0] = 1.0
-    a = ChiMatrix(eye, op_basis="pauli")
-    b = ChiMatrix(eye, op_basis="other")
-    with pytest.raises(BasisMismatchError):
-        process_fidelity(a, b)
-    assert process_fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
