@@ -126,6 +126,9 @@ class RunConfig:
         model = d.get("model", "free")
         sigmas = ("sigma1", "sigma2", "sigma4")
         if any(k in d for k in sigmas):
+            if "model" in d:
+                raise ConfigError("noise.model cannot be given next to "
+                                  "sigma1/sigma2/sigma4")
             return NoiseModel(**{k: _typed(f"noise.{k}", d.get(k), float)
                                  for k in sigmas},
                               n_samples=n_samples, rng_seed=self.seed)

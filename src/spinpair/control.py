@@ -26,9 +26,13 @@ c_t = cos(...) in [-1, 1], so it is read off a tensor-product Chebyshev
 interpolant in the c_t of each active (non-silent) tone: one
 ``expm_unitary_batch`` over the grid nodes, then per step a weighted sum of
 the node propagators.  The degree is the smallest that the Chebyshev
-interpolation bound puts below 2^-60 (see ``_chebyshev_nodes``).  The step
-propagators are multiplied pairwise within fixed blocks of ``_LAB_BLOCK``
-steps, and the block products one after another in time order.
+interpolation bound puts below 2^-60 (see ``_chebyshev_nodes``).  A chunk's
+step propagators sit step-last, (4, 4, steps), and both the node sum and
+the step-by-step 4x4 products are elementwise over the step axis.  The
+step propagators are multiplied pairwise within fixed blocks of
+``_LAB_BLOCK`` steps, and the block products one after another in time
+order.  Blocks are fixed by step index and each step's arithmetic is the
+same in any chunk, so the product does not depend on ``_LAB_CHUNK``.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ PULSE_SCHEMA_VERSION = 1
 # Number-basis indices of levels |1..4|
 L1, L2, L3, L4 = 0, 1, 2, 3
 
-# Lab-frame steps per batch: a rwa-check case has ~5e5 steps, and building
-# all their (n, 4, 4) Hamiltonians and propagators at once took ~700 MB.
+# Lab-frame steps per batch: a rwa-check case has ~5e5 steps, whose (4, 4)
+# complex propagators alone take 128 MB; a chunk's take 1 MiB.
 _LAB_CHUNK = 4096
 # Lab-frame steps per pairwise-multiplied block, a power of two.  A chunk
 # is a whole number of blocks, so blocks are fixed by step index and the
@@ -258,27 +262,21 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     grid = np.array(list(itertools.product(x, repeat=k))).reshape(
         len(x) ** k, k)
     hs = free_hamiltonian(p) - np.tensordot(grid, gs, axes=(1, 0))
-    # real view: (nodes, 4, 8), so the weighted sum is real arithmetic
-    nodes = expm_unitary_batch(hs, step).view(float)
+    nodes = expm_unitary_batch(hs, step)
     u = np.eye(4, dtype=complex)
+    # every chunk reuses one step-last buffer: a fresh 1 MiB per chunk
+    # either overlaps the previous one or is unmapped and faulted back in
+    buf = np.empty((4, 4, min(n, _LAB_CHUNK)), dtype=complex)
     for start in range(0, n, _LAB_CHUNK):
         tmid = (np.arange(start, min(start + _LAB_CHUNK, n)) + 0.5) * step
-        w = np.ones((len(tmid), 1))
-        for tone, _ in active:
-            lag = _lagrange_weights(x, np.cos(tone.omega * tmid + tone.phi))
-            w = (w[:, :, None] * lag[:, None, :]).reshape(len(tmid), -1)
-        # broadcast multiply-adds, node by node: each step's arithmetic
-        # does not depend on the chunk it falls in
-        us = w[:, 0, None, None] * nodes[0]
-        for a in range(1, len(nodes)):
-            us += w[:, a, None, None] * nodes[a]
-        us = us.view(complex)
+        us = _step_propagators(nodes, x, active, tmid, buf[..., :len(tmid)])
         # only the last chunk can end in a partial block
-        full = len(us) - len(us) % _LAB_BLOCK
-        for ub in _pairwise_product(us[:full].reshape(-1, _LAB_BLOCK, 4, 4)):
+        full = len(tmid) - len(tmid) % _LAB_BLOCK
+        blocks = us[..., :full].reshape(4, 4, -1, _LAB_BLOCK)
+        for ub in _pairwise_product(blocks.transpose(2, 0, 1, 3)):
             u = ub @ u
-        if full < len(us):
-            u = _pairwise_product(us[full:]) @ u
+        if full < len(tmid):
+            u = _pairwise_product(us[..., full:]) @ u
     r = mapping_operator(es.theta0)
     return r.conj().T @ u @ r
 
@@ -301,24 +299,45 @@ def _chebyshev_nodes(bounds) -> np.ndarray:
     return np.cos((2 * j + 1) * np.pi / (2 * degree + 2))
 
 
+def _step_propagators(nodes: np.ndarray, x: np.ndarray, active,
+                       t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Step propagators at the midpoints ``t`` into ``out`` (4, 4, len(t)):
+    the node propagators (nodes, 4, 4) summed elementwise with node-major
+    weights (nodes, steps), first active tone slowest.  Row by row, so the
+    temporaries are a quarter of ``out``."""
+    w = np.ones((1, len(t)))
+    for tone, _ in active:
+        lag = _lagrange_weights(x, np.cos(tone.omega * t + tone.phi))
+        w = (w[:, None, :] * lag).reshape(-1, len(t))
+    for i in range(4):
+        np.multiply(nodes[0, i, :, None], w[0], out=out[i])
+        for a in range(1, len(nodes)):
+            out[i] += nodes[a, i, :, None] * w[a]
+    return out
+
+
 def _lagrange_weights(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Lagrange basis polynomials of the nodes ``x`` at the points ``c``,
-    shape (len(c), len(x)), in product form."""
-    w = np.ones((len(c), len(x)))
+    shape (len(x), len(c)), in product form."""
+    w = np.ones((len(x), len(c)))
     for j, xj in enumerate(x):
         for i, xi in enumerate(x):
             if i != j:
-                w[:, j] *= (c - xi) / (xj - xi)
+                w[j] *= (c - xi) / (xj - xi)
     return w
 
 
 def _pairwise_product(us: np.ndarray) -> np.ndarray:
-    """Time-ordered product over the step axis of ``us`` (..., m, 4, 4),
-    latest step leftmost, multiplied pairwise in log2(m) batched rounds."""
-    while us.shape[-3] > 1:
-        k = us.shape[-3] // 2
-        paired = us[..., 1:2 * k:2, :, :] @ us[..., 0:2 * k:2, :, :]
-        if us.shape[-3] % 2:
-            paired = np.concatenate([paired, us[..., -1:, :, :]], axis=-3)
+    """Time-ordered product over the last axis of ``us`` (..., 4, 4, m),
+    latest step leftmost, multiplied pairwise in log2(m) rounds of
+    elementwise 4x4 products."""
+    while us.shape[-1] > 1:
+        k = us.shape[-1] // 2
+        a, b = us[..., 1:2 * k:2], us[..., 0:2 * k:2]
+        paired = a[..., :, 0, None, :] * b[..., None, 0, :, :]
+        for j in range(1, 4):
+            paired += a[..., :, j, None, :] * b[..., None, j, :, :]
+        if us.shape[-1] % 2:
+            paired = np.concatenate([paired, us[..., -1:]], axis=-1)
         us = paired
-    return us[..., 0, :, :]
+    return us[..., 0]

@@ -52,6 +52,14 @@ def test_bad_section_value_is_exit_3(tmp_path):
     assert code == EXIT_BAD_CONFIG
 
 
+@pytest.mark.parametrize("model", ["loud", "triggered"])
+def test_noise_model_next_to_sigmas_is_exit_3(tmp_path, model):
+    # explicit sigmas would override the model without a word
+    noise = {"model": model, "sigma1": 1.0, "sigma2": 1.0, "sigma4": 1.0}
+    code, _ = run_cli(tmp_path, "grover", config={"noise": noise})
+    assert code == EXIT_BAD_CONFIG
+
+
 @pytest.mark.parametrize("argv", [
     ["grover", "--marked", "5"], ["qst", "toffoli"], ["qpt", "oracle9"],
     ["synthesize", "toffoli"], ["noise-sweep", "--gate", "toffoli"],

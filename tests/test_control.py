@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_unitary
 from spinpair import control
 from spinpair.control import (MicrowaveTone, PulseSequence, RegimeWarning,
                               control_hamiltonian, propagate,
@@ -218,6 +223,53 @@ def test_lab_frame_chunks_give_the_single_batch_product(monkeypatch):
     assert all(np.array_equal(u, products[-1]) for u in products)
     assert not np.allclose(products[-1],
                            propagate_lab_frame([SILENT], p, t, dt))
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 259])
+def test_pairwise_product_is_the_time_ordered_product(m):
+    # three blocks of m random unitaries, step-last with the step axis
+    # contiguous; 7 and 259 leave odd tails in some rounds
+    rng = np.random.default_rng(m)
+    steps = [[random_unitary(rng) for _ in range(m)] for _ in range(3)]
+    us = np.ascontiguousarray(np.moveaxis(np.array(steps), 1, -1))
+    got = control._pairwise_product(us)
+    assert got.shape == (3, 4, 4)
+    for block, product in zip(steps, got):
+        u = np.eye(4, dtype=complex)
+        for uk in block:
+            u = uk @ u
+        assert np.max(np.abs(product - u)) < 1e-13
+
+
+_LAB_FRAME_SCRIPT = """
+import sys
+from spinpair.control import MicrowaveTone, propagate_lab_frame
+from spinpair.ion import YB171, eigensystem
+a_s = 2e7 * 3.141592653589793
+p = YB171.replace(hyperfine_a=a_s,
+                  b_field=YB171.b_field * a_s / YB171.hyperfine_a)
+e = eigensystem(p).energies
+tone = MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.3)
+silent = MicrowaveTone(0.0, 0.0, 0.0, 0.0, 0.0)
+u = propagate_lab_frame([tone, silent, silent], p, 1.003e-7, 1e-10)
+sys.stdout.write(u.tobytes().hex())
+"""
+
+
+def test_lab_frame_does_not_depend_on_blas_threads():
+    # one process per thread count, and only these two
+    src = str(Path(control.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _LAB_FRAME_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        out.append(run.stdout)
+    assert len(out[0]) == 2 * 16 * 16
+    assert out[0] == out[1]
 
 
 def test_lab_frame_pairwise_product_matches_sequential_product():
