@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 import time
 import warnings
@@ -37,8 +38,8 @@ from .linalg import DensityMatrix, process_fidelity, state_fidelity
 from .multiion import (GradientDrive, NormalMode, TwoIonSystem, composite_zz,
                        large_field_selectivity, motion_disentanglement_check,
                        ms_composite_xx)
-from .tomography import (NoiseModel, apply_noise, chi_of_unitary,
-                         noise_model_free, noise_model_triggered, qpt, qst)
+from .tomography import (T2STAR, NoiseModel, apply_noise, chi_of_unitary,
+                         noise_model, qpt, qst)
 
 SCHEMA_VERSION = 1
 
@@ -67,11 +68,13 @@ _TOP_KEYS = ("schema_version", "seed", "output_dir", "ion", "grape", "noise",
 
 def _typed(name: str, value, kind: type):
     """``value`` as ``kind``: an int key takes a JSON integer, a float key
-    any JSON number; ``true`` and ``false`` are neither."""
+    any finite JSON number; ``true`` and ``false`` are neither."""
     allowed = int if kind is int else (int, float)
     if isinstance(value, bool) or not isinstance(value, allowed):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return kind(value)
 
 
@@ -89,6 +92,8 @@ class RunConfig:
 
         self.seed = _typed("seed", seed if seed is not None
                            else data.get("seed", 0), int)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.output_dir = Path(output_dir if output_dir is not None
                                else data.get("output_dir", "out"))
 
@@ -132,11 +137,9 @@ class RunConfig:
             return NoiseModel(**{k: _typed(f"noise.{k}", d.get(k), float)
                                  for k in sigmas},
                               n_samples=n_samples, rng_seed=self.seed)
-        if model == "free":
-            return noise_model_free(n_samples, rng_seed=self.seed)
-        if model == "triggered":
-            return noise_model_triggered(n_samples, rng_seed=self.seed)
-        raise ConfigError(f"unknown noise model {model!r}")
+        if model not in T2STAR:
+            raise ConfigError(f"unknown noise model {model!r}")
+        return noise_model(model, n_samples, rng_seed=self.seed)
 
     def _build_multiion(self, d: dict) -> TwoIonSystem:
         self._check_keys("multiion", d, _MULTIION_KEYS)
@@ -411,6 +414,8 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
 
     if args.check in ("ms-sweep", "all"):
         tau = 0.7 if args.tau is None else args.tau
+        if not math.isfinite(tau):
+            raise ConfigError(f"--tau must be finite, got {tau}")
         sweep = []
         for b0_gauss in (0.0, 2.0, 6.0, 20.0):
             ion = cfg.ion.replace(b_field=b0_gauss * 1e-4)
@@ -460,10 +465,8 @@ def cmd_noise_sweep(cfg: RunConfig, args) -> int:
 
     rows = []
     fids = {}
-    for name, model in (("free", noise_model_free(
-            cfg.noise.n_samples, rng_seed=cfg.seed)),
-            ("triggered", noise_model_triggered(
-                cfg.noise.n_samples, rng_seed=cfg.seed))):
+    for name in T2STAR:
+        model = noise_model(name, cfg.noise.n_samples, rng_seed=cfg.seed)
         out_rho = apply_noise(seq, model)(_LEVEL3)
         fids[name] = state_fidelity(out_rho, ideal)
         rows.append([name, args.duration, fids[name]])

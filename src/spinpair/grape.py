@@ -30,6 +30,7 @@ comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +119,13 @@ class GrapeConfig:
         for name, value in numbers:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise TypeError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not isinstance(self.optimize_detunings, bool):
             raise TypeError("optimize_detunings must be true or false, got "
                             f"{self.optimize_detunings!r}")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.n_segments < 2:
             raise ValueError("need at least 2 segments")
         if not self.total_time > 0:

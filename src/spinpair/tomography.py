@@ -6,7 +6,8 @@ tomography routes populations and coherences into the measurable level
 with pi and pi/2 pulses on the (3,1), (3,2), (3,4) subspaces, then inverts
 the linear map; pairs not involving |3> use a composed route (a pi pulse
 into |3> followed by a pi/2 analysis pulse).  ``qst`` measures one given
-state in all 16 settings; ``qpt`` applies the process once per input.
+state in all 16 settings; ``qpt`` applies the process once per input and
+reads chi exactly off its superoperator (Chuang & Nielsen, 1997).
 
 Magnetic noise is modeled as quasi-static: each experimental shot draws
 a constant random shift of the |1>, |2>, |4> energies (Gaussian, std
@@ -36,6 +37,7 @@ _P1 = [np.eye(2, dtype=complex),
        np.array([[0, -1j], [1j, 0]], dtype=complex),
        np.array([[1, 0], [0, -1]], dtype=complex)]
 PAULI2 = [kron(a, b) for a in _P1 for b in _P1]
+_PAULI2_CONJ = np.conj(PAULI2)  # (16, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -72,21 +74,17 @@ def calibrate_sigma(t2star: float) -> float:
     return SQRT2 / t2star
 
 
-# Ramsey coherence times from the hardware characterization, without and
-# with ac-line triggering (seconds); transitions (1-3), (2-3), (4-3).
-T2STAR_FREE = {"13": 500e-6, "23": 20e-3, "43": 500e-6}
-T2STAR_TRIGGERED = {"13": 7e-3, "23": 20e-3, "43": 7e-3}
+# Ramsey coherence times from the hardware characterization, without
+# ("free") and with ("triggered") ac-line triggering (seconds);
+# transitions (1-3), (2-3), (4-3).
+T2STAR = {"free": {"13": 500e-6, "23": 20e-3, "43": 500e-6},
+          "triggered": {"13": 7e-3, "23": 20e-3, "43": 7e-3}}
 
 
-def noise_model_free(n_samples: int = 200, rng_seed: int = 0) -> NoiseModel:
-    t = T2STAR_FREE
-    return NoiseModel.from_coherence_times(t["13"], t["23"], t["43"],
-                                           n_samples, rng_seed)
-
-
-def noise_model_triggered(n_samples: int = 200,
-                          rng_seed: int = 0) -> NoiseModel:
-    t = T2STAR_TRIGGERED
+def noise_model(name: str, n_samples: int = 200,
+                rng_seed: int = 0) -> NoiseModel:
+    """The noise model of the T2* table ``T2STAR[name]``."""
+    t = T2STAR[name]
     return NoiseModel.from_coherence_times(t["13"], t["23"], t["43"],
                                            n_samples, rng_seed)
 
@@ -210,18 +208,11 @@ def qpt_input_states() -> list:
 
 
 @functools.cache
-def _qpt_design() -> np.ndarray:
-    # rows indexed by (input j, output entry a,b); columns by (m, n):
-    # sum_mn chi_mn (P_m rho_j P_n)_{ab} = rho'_j{ab}
-    c = np.zeros((16 * 16, 16 * 16), dtype=complex)
-    for jdx, psi in enumerate(qpt_input_states()):
-        rho = np.outer(psi, psi.conj())
-        for m in range(16):
-            pm_rho = PAULI2[m] @ rho
-            for n in range(16):
-                block = pm_rho @ PAULI2[n]
-                c[jdx * 16:(jdx + 1) * 16, m * 16 + n] = block.ravel()
-    return c
+def _qpt_inputs_inverse() -> np.ndarray:
+    """R^-1, where column j of R is vec(rho_j) of the j-th QPT input."""
+    r = np.array([np.outer(psi, psi.conj()).ravel()
+                  for psi in qpt_input_states()]).T
+    return np.linalg.inv(r)
 
 
 def qpt(process, ion: IonParams = YB171, shots: int = 0,
@@ -232,8 +223,10 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0,
     DensityMatrix and is called once per input state (16 calls).  Inputs
     are prepared in the spin basis and conjugated to the number basis for
     simulation; each output is reconstructed with ``qst`` and mapped back
-    to the spin basis before the chi inversion.  An output whose trace is
-    not 1 triggers a warning.
+    to the spin basis.  An output whose trace is not 1 triggers a warning.
+    With R and O holding the row-major vec of the inputs and outputs as
+    columns, S = O R^-1 and, as vec(P_m rho P_n) = (P_m (x) P_n^T) vec(rho),
+    chi_mn = sum_abcd conj(P_m[a,c] P_n[d,b]) S[(a,b),(c,d)] / 16.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -248,9 +241,10 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0,
             warnings.warn(f"process is not trace preserving (Tr={tr})")
         out_n = qst(out, shots=shots, rng=rng)
         outputs.append(change_basis(out_n, r, "number_to_spin").entries)
-    rhs = np.concatenate([o.ravel() for o in outputs])
-    chi_vec, *_ = np.linalg.lstsq(_qpt_design(), rhs, rcond=None)
-    return ChiMatrix(project_psd(chi_vec.reshape(16, 16)))
+    s = np.array(outputs).reshape(16, 16).T @ _qpt_inputs_inverse()
+    chi = np.einsum("mac,ndb,abcd->mn", _PAULI2_CONJ, _PAULI2_CONJ,
+                    s.reshape(4, 4, 4, 4)) / 16
+    return ChiMatrix(project_psd(chi))
 
 
 def chi_of_unitary(u: np.ndarray) -> ChiMatrix:

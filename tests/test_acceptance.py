@@ -19,8 +19,7 @@ from spinpair.linalg import DensityMatrix, process_fidelity, state_fidelity
 from spinpair.multiion import (GradientDrive, NormalMode, TwoIonSystem,
                                composite_zz, large_field_selectivity,
                                motion_disentanglement_check, ms_composite_xx)
-from spinpair.tomography import (apply_noise, chi_of_unitary,
-                                 noise_model_free, noise_model_triggered,
+from spinpair.tomography import (apply_noise, chi_of_unitary, noise_model,
                                  qpt, qst)
 
 TWO_PI = 2 * np.pi
@@ -103,9 +102,9 @@ def test_criterion_06_noise_model_ordering(hadamard_300us):
     rho = DensityMatrix(rho, basis="number")
     u = propagate(seq)
     ideal = DensityMatrix(u @ rho.entries @ u.conj().T, basis="number")
-    f_free = state_fidelity(apply_noise(seq, noise_model_free())(rho), ideal)
+    f_free = state_fidelity(apply_noise(seq, noise_model("free"))(rho), ideal)
     f_trig = state_fidelity(
-        apply_noise(seq, noise_model_triggered())(rho), ideal)
+        apply_noise(seq, noise_model("triggered"))(rho), ideal)
     print(f"criterion 6: 300 us Hadamard fidelity, free-running {f_free:.4f} "
           f"vs line-triggered {f_trig:.4f} (required gap 0.05)")
     assert f_trig - f_free >= 0.05

@@ -9,7 +9,7 @@ from spinpair.control import propagate
 from spinpair.grape import standard_gate
 from spinpair.ion import YB171, change_basis, eigensystem
 from spinpair.linalg import DensityMatrix, StateVector
-from spinpair.tomography import noise_model_triggered
+from spinpair.tomography import noise_model
 
 
 def test_empty_circuit_is_identity():
@@ -99,7 +99,7 @@ def test_pulsed_grover_beats_99_percent(all_gate_pulses):
 def test_pulsed_noise_mode_runs(all_gate_pulses):
     pulses = {k: v.sequence for k, v in all_gate_pulses.items()}
     pulses["oracle2"] = pulses["cphase"]
-    noise = noise_model_triggered(n_samples=8, rng_seed=3)
+    noise = noise_model("triggered", n_samples=8, rng_seed=3)
     final = run_circuit(grover_circuit(2), mode="pulsed+noise",
                         pulses=pulses, noise=noise)
     assert final.basis == "spin"

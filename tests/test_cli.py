@@ -2,10 +2,15 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinpair
 from spinpair.cli import (EXIT_BAD_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                           SCHEMA_VERSION, ConfigError, RunConfig, main,
                           pulse_path, read_versioned_json, write_json)
@@ -67,7 +72,9 @@ def test_noise_model_next_to_sigmas_is_exit_3(tmp_path, model):
     ["qst", "hadamard1", "--shots", "-1"], ["qpt", "cphase", "--shots", "-3"],
     ["noise-sweep", "--duration=0"], ["noise-sweep", "--duration=-1e-4"],
     ["multiion-verify", "ms-sweep", "--draws", "5"],
-    ["multiion-verify", "composite-zz", "--tau", "0.3"]])
+    ["multiion-verify", "composite-zz", "--tau", "0.3"],
+    ["--seed", "-1", "qst", "cphase"], ["noise-sweep", "--duration", "inf"],
+    ["multiion-verify", "ms-sweep", "--tau", "nan"]])
 def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     code, _ = run_cli(tmp_path, *argv)
     assert code == EXIT_BAD_CONFIG
@@ -84,7 +91,11 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     {"multiion": {"fock_cutoff": 16.9}}, {"multiion": {"k1": 1.5}},
     {"ion": {"b_field": True}},
     {"noise": {"sigma1": True, "sigma2": 1.0, "sigma4": 1.0}},
-    {"noise": {"sigma1": 1.0}}],
+    {"noise": {"sigma1": 1.0}}, {"seed": -1}, {"grape": {"rng_seed": -3}},
+    {"ion": {"b_field": float("nan")}},
+    {"grape": {"total_time": float("inf")}},
+    {"grape": {"robustness_scalings": [1.0, float("inf")]}},
+    {"noise": {"sigma1": float("nan"), "sigma2": 1.0, "sigma4": 1.0}}],
     ids=["total_time", "robustness_scalings", "n_restarts", "omega_max",
          "max_iters", "step_size", "robustness_scalings_nonpositive",
          "n_segments_float", "n_restarts_float", "rng_seed_float",
@@ -92,7 +103,9 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
          "robustness_scalings_bool", "seed_float", "seed_bool",
          "noise_n_samples_float", "multiion_fock_cutoff_float",
          "multiion_k1_float", "ion_b_field_bool", "noise_sigma1_bool",
-         "noise_sigma2_missing"])
+         "noise_sigma2_missing", "seed_negative", "rng_seed_negative",
+         "ion_b_field_nan", "total_time_inf", "robustness_scalings_inf",
+         "noise_sigma1_nan"])
 def test_non_positive_grape_total_time_is_exit_3(tmp_path, config):
     code, _ = run_cli(tmp_path, "synthesize", "hadamard1", config=config)
     assert code == EXIT_BAD_CONFIG
@@ -120,6 +133,34 @@ def test_qpt_ideal_fidelity_one(tmp_path):
     assert code == EXIT_OK
     report = read_versioned_json(out / "qpt_cphase_ideal.json")
     assert report["process_fidelity"] == pytest.approx(1.0, abs=1e-6)
+
+
+_QPT_SCRIPT = """
+import sys
+from spinpair.cli import main
+for argv in (["qpt", "cphase"], ["qpt", "hadamard1", "--shots", "1000"]):
+    code = main(["--seed", "0", "--out", sys.argv[1], *argv,
+                 "--mode", "ideal"])
+    if code:
+        sys.exit(code)
+"""
+
+
+def test_qpt_does_not_depend_on_blas_threads(tmp_path):
+    # one process per thread count, and only these two
+    src = str(Path(spinpair.__file__).resolve().parents[1])
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", _QPT_SCRIPT, str(out)],
+                       env=env, capture_output=True, timeout=120, check=True)
+        artifacts.append({p.relative_to(out): p.read_bytes()
+                          for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(artifacts[0]) == 4
+    assert artifacts[0] == artifacts[1]
 
 
 def test_qst_ideal_artifacts(tmp_path):

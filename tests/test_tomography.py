@@ -8,11 +8,10 @@ from spinpair.ion import YB171, eigensystem
 from spinpair import tomography
 from spinpair.linalg import (ChiMatrix, DensityMatrix, process_fidelity,
                              project_psd, state_fidelity)
-from spinpair.tomography import (NoiseModel, PAULI2, T2STAR_FREE,
-                                 T2STAR_TRIGGERED, apply_noise,
+from spinpair.tomography import (T2STAR, NoiseModel, PAULI2, apply_noise,
                                  calibrate_sigma, chi_of_unitary, measure_p3,
-                                 noise_model_free, noise_model_triggered,
-                                 qpt, qpt_input_states, qst, qst_settings)
+                                 noise_model, qpt, qpt_input_states, qst,
+                                 qst_settings)
 
 TWO_PI = 2 * np.pi
 
@@ -36,11 +35,11 @@ def test_calibrate_sigma_gaussian_envelope():
 
 
 def test_noise_model_tables():
-    free = noise_model_free()
-    trig = noise_model_triggered()
-    assert free.sigma1 == pytest.approx(calibrate_sigma(T2STAR_FREE["13"]))
+    free = noise_model("free")
+    trig = noise_model("triggered")
+    assert free.sigma1 == pytest.approx(calibrate_sigma(T2STAR["free"]["13"]))
     assert trig.sigma1 == pytest.approx(
-        calibrate_sigma(T2STAR_TRIGGERED["13"]))
+        calibrate_sigma(T2STAR["triggered"]["13"]))
     # the clock transition 2-3 is field-insensitive: same in both models
     assert free.sigma2 == pytest.approx(trig.sigma2)
     assert free.sigma1 > trig.sigma1
@@ -142,13 +141,16 @@ def _unitary_process(u):
     return process
 
 
-@pytest.mark.parametrize("gate", ["cphase", "hadamard1", "cnot12"])
+# phase1 and t2 have imaginary chi entries, so they tell chi from chi^T
+@pytest.mark.parametrize("gate", ["cphase", "hadamard1", "cnot12", "phase1",
+                                  "t2"])
 def test_qpt_exact_on_unitaries(gate):
     target = standard_gate(gate)
     u = target_in_number_basis(target, YB171)
     chi = qpt(_unitary_process(u), shots=0)
     want = chi_of_unitary(target.matrix)
     assert process_fidelity(chi, want) >= 1 - 1e-6
+    assert np.max(np.abs(chi.entries - want.entries)) < 1e-12
 
 
 def test_qpt_calls_process_once_per_input_state():
@@ -206,7 +208,7 @@ def test_apply_noise_reduces_fidelity(hadamard_300us):
     from spinpair.control import propagate
     u = propagate(seq)
     ideal = DensityMatrix(u @ rho.entries @ u.conj().T, basis="number")
-    f_free = state_fidelity(apply_noise(seq, noise_model_free())(rho), ideal)
+    f_free = state_fidelity(apply_noise(seq, noise_model("free"))(rho), ideal)
     f_trig = state_fidelity(
-        apply_noise(seq, noise_model_triggered())(rho), ideal)
+        apply_noise(seq, noise_model("triggered"))(rho), ideal)
     assert f_trig > f_free
