@@ -35,7 +35,7 @@ from .grape import (ALL_GATES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
                     standard_gate, synthesize)
 from .ion import IonParams, YB171, eigensystem
 from .linalg import DensityMatrix, process_fidelity, state_fidelity
-from .multiion import (GradientDrive, NormalMode, TwoIonSystem, composite_zz,
+from .multiion import (GradientDrive, TwoIonSystem, composite_zz,
                        large_field_selectivity, motion_disentanglement_check,
                        ms_composite_xx)
 from .tomography import (T2STAR, NoiseModel, apply_noise, chi_of_unitary,
@@ -56,26 +56,63 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration
+#
+# Every config key, with its default, is in these tables; a key's kind is
+# the type of its default.  The CLI takes no other key.
 
-_ION_KEYS = ("hyperfine_a", "gamma_n", "gamma_e", "b_field")
-_GRAPE_KEYS = tuple(f.name for f in dataclasses.fields(GrapeConfig))
-_NOISE_KEYS = ("model", "sigma1", "sigma2", "sigma4", "n_samples")
-_MULTIION_KEYS = ("mode_omega", "fock_cutoff", "b_grad", "delta", "k1",
-                  "epsilon")
-_TOP_KEYS = ("schema_version", "seed", "output_dir", "ion", "grape", "noise",
-             "multiion")
+_SYSTEM = TwoIonSystem()
+CONFIG_SECTIONS = {
+    "ion": dataclasses.asdict(YB171),
+    "grape": dataclasses.asdict(GrapeConfig()),  # rng_seed: seed + 1
+    # the sigmas come all three or not at all, so their defaults are never
+    # used and only give their kind
+    "noise": {"model": "free", "sigma1": 0.0, "sigma2": 0.0, "sigma4": 0.0,
+              "n_samples": 200},
+    "multiion": {"fock_cutoff": _SYSTEM.fock_cutoff,
+                 "b_grad": _SYSTEM.drive.b_grad, "delta": _SYSTEM.drive.delta,
+                 "k1": _SYSTEM.drive.k1, "epsilon": _SYSTEM.mode.epsilon},
+}
+CONFIG_TOP = {"schema_version": SCHEMA_VERSION, "seed": 0, "output_dir": "out",
+              **dict.fromkeys(CONFIG_SECTIONS, {})}
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", dict: "an object"}
 
 
-def _typed(name: str, value, kind: type):
-    """``value`` as ``kind``: an int key takes a JSON integer, a float key
-    any finite JSON number; ``true`` and ``false`` are neither."""
-    allowed = int if kind is int else (int, float)
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+def _typed(name: str, value, default):
+    """``value`` checked against the kind of ``default``.  An int key
+    takes a JSON integer, a float key any finite JSON number (returned as a
+    float), a tuple key a list of them, and a bool, str or dict key a value
+    of that type; ``true`` and ``false`` are not numbers."""
+    kind = type(default)
+    if kind is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list of numbers, "
+                              f"got {value!r}")
+        return tuple(_typed(f"{name}[{i}]", x, 0.0)
+                     for i, x in enumerate(value))
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float") from None
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    return kind(value)
+    return value
+
+
+def _section(name: str, given, defaults: dict) -> dict:
+    """``defaults`` with the typed values of ``given`` in place; a key that
+    ``defaults`` lacks is an error."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{name} must be an object, got {given!r}")
+    out = dict(defaults)
+    for key, value in given.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown {name} key {key!r}")
+        out[key] = _typed(f"{name}.{key}", value, defaults[key])
+    return out
 
 
 class RunConfig:
@@ -83,77 +120,44 @@ class RunConfig:
 
     def __init__(self, data: dict | None = None, seed: int | None = None,
                  output_dir: str | None = None):
-        data = dict(data or {})
-        for key in data:
-            if key not in _TOP_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-        if data.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        top = _section("config", data or {}, CONFIG_TOP)
+        if top["schema_version"] != SCHEMA_VERSION:
             raise ConfigError("unsupported config schema_version")
-
-        self.seed = _typed("seed", seed if seed is not None
-                           else data.get("seed", 0), int)
+        self.seed = top["seed"] if seed is None else seed
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        self.output_dir = Path(output_dir if output_dir is not None
-                               else data.get("output_dir", "out"))
+        self.output_dir = Path(top["output_dir"] if output_dir is None
+                               else output_dir)
 
-        try:
-            self.ion = self._build_ion(data.get("ion", {}))
-            self.grape = self._build_grape(data.get("grape", {}))
-            self.noise = self._build_noise(data.get("noise", {}))
-            self.multiion = self._build_multiion(data.get("multiion", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    @staticmethod
-    def _check_keys(section: str, d: dict, allowed):
-        for key in d:
-            if key not in allowed:
-                raise ConfigError(f"unknown {section} key {key!r}")
-
-    def _build_ion(self, d: dict) -> IonParams:
-        self._check_keys("ion", d, _ION_KEYS)
-        return YB171.replace(**{k: _typed(f"ion.{k}", v, float)
-                                for k, v in d.items()})
-
-    def _build_grape(self, d: dict) -> GrapeConfig:
-        self._check_keys("grape", d, _GRAPE_KEYS)
-        kwargs = dict(d)
-        if "robustness_scalings" in kwargs:
-            kwargs["robustness_scalings"] = tuple(
-                kwargs["robustness_scalings"])
-        kwargs.setdefault("rng_seed", self.seed + 1)
-        return GrapeConfig(**kwargs)
-
-    def _build_noise(self, d: dict) -> NoiseModel:
-        self._check_keys("noise", d, _NOISE_KEYS)
-        n_samples = _typed("noise.n_samples", d.get("n_samples", 200), int)
-        model = d.get("model", "free")
+        tables = {**CONFIG_SECTIONS, "grape": {**CONFIG_SECTIONS["grape"],
+                                               "rng_seed": self.seed + 1}}
+        ion, grape, noise, multiion = (_section(name, top[name], tables[name])
+                                       for name in CONFIG_SECTIONS)
         sigmas = ("sigma1", "sigma2", "sigma4")
-        if any(k in d for k in sigmas):
-            if "model" in d:
-                raise ConfigError("noise.model cannot be given next to "
-                                  "sigma1/sigma2/sigma4")
-            return NoiseModel(**{k: _typed(f"noise.{k}", d.get(k), float)
-                                 for k in sigmas},
-                              n_samples=n_samples, rng_seed=self.seed)
-        if model not in T2STAR:
-            raise ConfigError(f"unknown noise model {model!r}")
-        return noise_model(model, n_samples, rng_seed=self.seed)
-
-    def _build_multiion(self, d: dict) -> TwoIonSystem:
-        self._check_keys("multiion", d, _MULTIION_KEYS)
-
-        def get(key, default, kind=float):
-            return _typed(f"multiion.{key}", d.get(key, default), kind)
-        mode = NormalMode(omega=get("mode_omega", 2 * np.pi * 2e6),
-                          epsilon=get("epsilon", 1e-9))
-        drive = GradientDrive(b_grad=get("b_grad", 10.0),
-                              delta=get("delta", 2 * np.pi * 2e3),
-                              k1=get("k1", 1, int))
-        return TwoIonSystem(ions=(self.ion, self.ion), mode=mode,
-                            fock_cutoff=get("fock_cutoff", 16, int),
-                            drive=drive)
+        explicit = [k for k in sigmas if k in top["noise"]]
+        if explicit and (len(explicit) < 3 or "model" in top["noise"]):
+            raise ConfigError("noise takes all of sigma1/sigma2/sigma4 or "
+                              "none, and not next to noise.model")
+        if not explicit and noise["model"] not in T2STAR:
+            raise ConfigError(f"unknown noise model {noise['model']!r}")
+        try:
+            self.ion = IonParams(**ion)
+            self.grape = GrapeConfig(**grape)
+            self.noise = (NoiseModel(*(noise[k] for k in sigmas),
+                                     noise["n_samples"], rng_seed=self.seed)
+                          if explicit else
+                          noise_model(noise["model"], noise["n_samples"],
+                                      rng_seed=self.seed))
+            self.multiion = TwoIonSystem(
+                ions=(self.ion, self.ion),
+                mode=dataclasses.replace(_SYSTEM.mode,
+                                         epsilon=multiion["epsilon"]),
+                fock_cutoff=multiion["fock_cutoff"],
+                drive=dataclasses.replace(
+                    _SYSTEM.drive, b_grad=multiion["b_grad"],
+                    delta=multiion["delta"], k1=multiion["k1"]))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def grape_hash(self) -> str:
         """Short stable digest of the synthesis configuration and the
@@ -172,7 +176,7 @@ def load_config(path: str | None, seed: int | None,
     if path is not None:
         try:
             data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: JSON syntax
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
@@ -194,7 +198,7 @@ def write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    log.info("wrote %s", path)
+    log.debug("wrote %s", path)
 
 
 def write_matrix_csv(path: Path, m: np.ndarray, label: str) -> None:
@@ -207,7 +211,7 @@ def write_matrix_csv(path: Path, m: np.ndarray, label: str) -> None:
             for j, x in enumerate(row):
                 w.writerow([i, j, repr(float(np.real(x))),
                             repr(float(np.imag(x)))])
-    log.info("wrote %s", path)
+    log.debug("wrote %s", path)
 
 
 def write_rows_csv(path: Path, header: list, rows: list) -> None:
@@ -218,7 +222,7 @@ def write_rows_csv(path: Path, header: list, rows: list) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow([repr(x) if isinstance(x, float) else x for x in row])
-    log.info("wrote %s", path)
+    log.debug("wrote %s", path)
 
 
 def read_versioned_json(path: Path) -> dict:
@@ -396,8 +400,8 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
             raise ConfigError(f"--draws must be >= 1, got {draws}")
         dists = []
         for _ in range(draws):
-            mode = NormalMode(omega=cfg.multiion.mode.omega,
-                              epsilon=float(rng.uniform(0.5e-9, 2e-9)))
+            mode = dataclasses.replace(
+                cfg.multiion.mode, epsilon=float(rng.uniform(0.5e-9, 2e-9)))
             drive = GradientDrive(b_grad=float(rng.uniform(1.0, 30.0)),
                                   delta=float(2 * np.pi * rng.uniform(
                                       0.5e3, 5e3)),
@@ -596,9 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(message)s", stream=sys.stderr)
+    # basicConfig does nothing once the root logger has a handler, so the
+    # level is set on this package's logger
+    logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
+    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
         cfg = load_config(args.config, args.seed, args.out)
     except ConfigError as exc:

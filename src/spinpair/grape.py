@@ -108,22 +108,13 @@ class GrapeConfig:
     optimize_detunings: bool = False
 
     def __post_init__(self):
-        for name in ("n_segments", "max_iters", "n_restarts", "rng_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
         numbers = [(name, getattr(self, name)) for name in
                    ("omega_max", "total_time", "target_fidelity")]
         numbers += [("robustness_scalings", x)
                     for x in self.robustness_scalings]
         for name, value in numbers:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if not isinstance(self.optimize_detunings, bool):
-            raise TypeError("optimize_detunings must be true or false, got "
-                            f"{self.optimize_detunings!r}")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         if self.n_segments < 2:

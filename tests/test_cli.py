@@ -95,7 +95,12 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     {"ion": {"b_field": float("nan")}},
     {"grape": {"total_time": float("inf")}},
     {"grape": {"robustness_scalings": [1.0, float("inf")]}},
-    {"noise": {"sigma1": float("nan"), "sigma2": 1.0, "sigma4": 1.0}}],
+    {"noise": {"sigma1": float("nan"), "sigma2": 1.0, "sigma4": 1.0}},
+    {"ion": {"b_field": 10**400}}, {"grape": {"omega_max": 10**400}},
+    {"multiion": {"b_grad": 10**400}},
+    {"noise": {"sigma1": 10**400, "sigma2": 1.0, "sigma4": 1.0}},
+    {"output_dir": 5}, {"schema_version": True}, {"ion": "b_field"},
+    {"multiion": {"mode_omega": 1e7}}],
     ids=["total_time", "robustness_scalings", "n_restarts", "omega_max",
          "max_iters", "step_size", "robustness_scalings_nonpositive",
          "n_segments_float", "n_restarts_float", "rng_seed_float",
@@ -105,10 +110,20 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
          "multiion_k1_float", "ion_b_field_bool", "noise_sigma1_bool",
          "noise_sigma2_missing", "seed_negative", "rng_seed_negative",
          "ion_b_field_nan", "total_time_inf", "robustness_scalings_inf",
-         "noise_sigma1_nan"])
+         "noise_sigma1_nan", "ion_b_field_overflow", "omega_max_overflow",
+         "multiion_b_grad_overflow", "noise_sigma1_overflow",
+         "output_dir_int", "schema_version_bool", "ion_not_an_object",
+         "multiion_mode_omega"])
 def test_non_positive_grape_total_time_is_exit_3(tmp_path, config):
     code, _ = run_cli(tmp_path, "synthesize", "hadamard1", config=config)
     assert code == EXIT_BAD_CONFIG
+
+
+def test_integer_spelling_of_a_grape_float_keeps_the_pulse_path():
+    # JSON 125663 and 125663.0 are the same omega_max
+    paths = [pulse_path(RunConfig({"grape": {"omega_max": x}}), "cphase")
+             for x in (125663, 125663.0)]
+    assert paths[0] == paths[1]
 
 
 def test_grover_ideal_artifacts(tmp_path):
