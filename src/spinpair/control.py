@@ -33,6 +33,16 @@ step propagators are multiplied pairwise within fixed blocks of
 ``_LAB_BLOCK`` steps, and the block products one after another in time
 order.  Blocks are fixed by step index and each step's arithmetic is the
 same in any chunk, so the product does not depend on ``_LAB_CHUNK``.
+
+With exactly one active tone and omega != 0, H(t) has period
+T = 2 pi / |omega|, and by Floquet's theorem the propagator over q T is
+the one-period propagator to the power q (Shirley, Phys. Rev. 138, B979
+(1965)).  The integration then steps one period on its own grid of
+ceil(T / dt) midpoint steps, raises it to q = floor(duration / T) with
+``np.linalg.matrix_power``, and multiplies on the remainder
+[q T, duration), stepped from phase phi on a grid of ceil(r / dt) steps.
+With no active tone, a static tone, several tones, or duration < T, the
+period is the whole duration: one grid of ceil(duration / dt) steps.
 """
 
 from __future__ import annotations
@@ -234,6 +244,12 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     dt <= (2 pi / max(omega, splittings, ||g_t||)) / 50.  Step
     propagators come from the Chebyshev-node interpolant of
     ``_chebyshev_nodes``.
+
+    The grid repeats with the drive: for one active tone with omega != 0
+    the period P = min(2 pi / |omega|, duration) is stepped once on
+    ceil(P / dt) steps and raised to q = floor(duration / P); the
+    remainder duration - q P, if positive, is stepped from phase phi on
+    ceil(r / dt) steps of its own.  Otherwise P is the whole duration.
     """
     if not (duration > 0 and dt > 0):
         raise ValueError(f"duration {duration:g} and dt {dt:g} must be "
@@ -245,8 +261,7 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     drives = [t.bx * gx + t.by * gy + t.bz * gz for t in tones]
     # silent tones (g = 0) add no axis to the interpolation grid
     active = [(t, g) for t, g in zip(tones, drives) if np.any(g)]
-    k = len(active)
-    gs = np.array([g for _, g in active]).reshape(k, 4, 4)
+    gs = np.array([g for _, g in active]).reshape(len(active), 4, 4)
     g_norms = [float(np.linalg.norm(g, 2)) for g in gs]
     freqs = [abs(t.omega) for t in tones] + g_norms
     freqs += [abs(x) for x in np.subtract.outer(es.energies, es.energies).ravel()]
@@ -254,14 +269,33 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     if fmax > 0 and dt > (2 * np.pi / fmax) / 50:
         raise ValueError(f"dt = {dt:g} too coarse for max frequency "
                          f"{fmax / (2 * np.pi):g} Hz")
+
+    h0 = free_hamiltonian(p)
+    period = duration
+    if len(active) == 1 and active[0][0].omega:
+        period = min(duration, 2 * np.pi / abs(active[0][0].omega))
+    q = int(duration // period)
+    u = np.linalg.matrix_power(
+        _lab_product(h0, gs, g_norms, active, period, dt), q)
+    rest = duration - q * period
+    if rest > 0:
+        u = _lab_product(h0, gs, g_norms, active, rest, dt) @ u
+    r = mapping_operator(es.theta0)
+    return r.conj().T @ u @ r
+
+
+def _lab_product(h0: np.ndarray, gs: np.ndarray, g_norms, active,
+                 duration: float, dt: float) -> np.ndarray:
+    """Spin-basis midpoint product over [0, duration) on ceil(duration / dt)
+    equal steps, the drive phases starting at each tone's phi."""
     n = max(1, int(np.ceil(duration / dt)))
     step = duration / n
-
+    k = len(active)
     x = _chebyshev_nodes([step * g for g in g_norms])
     # node a of the tensor grid, first active tone slowest
     grid = np.array(list(itertools.product(x, repeat=k))).reshape(
         len(x) ** k, k)
-    hs = free_hamiltonian(p) - np.tensordot(grid, gs, axes=(1, 0))
+    hs = h0 - np.tensordot(grid, gs, axes=(1, 0))
     nodes = expm_unitary_batch(hs, step)
     u = np.eye(4, dtype=complex)
     # every chunk reuses one step-last buffer: a fresh 1 MiB per chunk
@@ -277,8 +311,7 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
             u = ub @ u
         if full < len(tmid):
             u = _pairwise_product(us[..., full:]) @ u
-    r = mapping_operator(es.theta0)
-    return r.conj().T @ u @ r
+    return u
 
 
 def _chebyshev_nodes(bounds) -> np.ndarray:

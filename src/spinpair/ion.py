@@ -48,6 +48,8 @@ class IonParams:
     def __post_init__(self):
         if self.hyperfine_a <= 0:
             raise ValueError("hyperfine constant must be positive")
+        if self.gamma_e == 0:
+            raise ValueError("electron gyromagnetic ratio must be non-zero")
         if self.b_field < 0:
             raise ValueError("b_field must be non-negative")
 

@@ -100,7 +100,7 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     {"multiion": {"b_grad": 10**400}},
     {"noise": {"sigma1": 10**400, "sigma2": 1.0, "sigma4": 1.0}},
     {"output_dir": 5}, {"schema_version": True}, {"ion": "b_field"},
-    {"multiion": {"mode_omega": 1e7}}],
+    {"multiion": {"mode_omega": 1e7}}, {"ion": {"gamma_e": 0}}],
     ids=["total_time", "robustness_scalings", "n_restarts", "omega_max",
          "max_iters", "step_size", "robustness_scalings_nonpositive",
          "n_segments_float", "n_restarts_float", "rng_seed_float",
@@ -113,7 +113,7 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
          "noise_sigma1_nan", "ion_b_field_overflow", "omega_max_overflow",
          "multiion_b_grad_overflow", "noise_sigma1_overflow",
          "output_dir_int", "schema_version_bool", "ion_not_an_object",
-         "multiion_mode_omega"])
+         "multiion_mode_omega", "ion_gamma_e_zero"])
 def test_non_positive_grape_total_time_is_exit_3(tmp_path, config):
     code, _ = run_cli(tmp_path, "synthesize", "hadamard1", config=config)
     assert code == EXIT_BAD_CONFIG

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unitary
-from spinpair import control
+from spinpair import cli, control
 from spinpair.control import (MicrowaveTone, PulseSequence, RegimeWarning,
                               control_hamiltonian, propagate,
                               propagate_lab_frame, rwa_coefficients,
@@ -251,8 +252,11 @@ p = YB171.replace(hyperfine_a=a_s,
 e = eigensystem(p).energies
 tone = MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.3)
 silent = MicrowaveTone(0.0, 0.0, 0.0, 0.0, 0.0)
-u = propagate_lab_frame([tone, silent, silent], p, 1.003e-7, 1e-10)
-sys.stdout.write(u.tobytes().hex())
+# one period and a remainder, then 40 periods raised by matrix_power
+for periods in (1.003, 40.5):
+    duration = periods * 2 * 3.141592653589793 / tone.omega
+    u = propagate_lab_frame([tone, silent, silent], p, duration, 1e-10)
+    sys.stdout.write(u.tobytes().hex())
 """
 
 
@@ -268,29 +272,151 @@ def test_lab_frame_does_not_depend_on_blas_threads():
                              env=env, capture_output=True, text=True,
                              timeout=120, check=True)
         out.append(run.stdout)
-    assert len(out[0]) == 2 * 16 * 16
+    assert len(out[0]) == 2 * 2 * 16 * 16
     assert out[0] == out[1]
 
 
+def _midpoint_loop(p, tones, t0, length, dt):
+    """Spin-basis midpoint product over [t0, t0 + length) on
+    ceil(length / dt) equal steps, one expm_unitary per step."""
+    n = int(np.ceil(length / dt))
+    step = length / n
+    u = np.eye(4, dtype=complex)
+    for j in range(n):
+        t = t0 + (j + 0.5) * step
+        h = free_hamiltonian(p) - sum(
+            np.cos(tone.omega * t + tone.phi) * _drive(p, tone)
+            for tone in tones)
+        u = expm_unitary(h, step) @ u
+    return u
+
+
+def _number_basis(p, u):
+    r = mapping_operator(eigensystem(p).theta0)
+    return r.conj().T @ u @ r
+
+
 def test_lab_frame_pairwise_product_matches_sequential_product():
-    # 1,003 steps: three full blocks and a partial one
+    # 1.004 periods: the period's 1,000 steps are three full blocks and a
+    # partial one, then 4 remainder steps
     p = _scaled_ion()
     es = eigensystem(p)
     tone = MicrowaveTone(1e-4, 0.0, 0.0, es.energies[0] - es.energies[2],
                          0.3)
     t, dt = 1.003e-7, 1e-10
-    n = int(np.ceil(t / dt))
-    assert n % control._LAB_BLOCK != 0 and n > control._LAB_BLOCK
-    step = t / n
-    g = tone.bx * (p.gamma_n * I1X + p.gamma_e * I2X)
-    u = np.eye(4, dtype=complex)
-    for j in range(n):
-        c = np.cos(tone.omega * (j + 0.5) * step + tone.phi)
-        u = expm_unitary(free_hamiltonian(p) - c * g, step) @ u
-    r = mapping_operator(es.theta0)
-    sequential = r.conj().T @ u @ r
+    period = TWO_PI / abs(tone.omega)
+    m = int(np.ceil(period / dt))
+    assert m % control._LAB_BLOCK != 0 and m > control._LAB_BLOCK
+    assert t // period == 1
+    u = _midpoint_loop(p, [tone], 0.0, period, dt)
+    u = _midpoint_loop(p, [tone], period, t - period, dt) @ u
+    sequential = _number_basis(p, u)
     pairwise = propagate_lab_frame([tone, SILENT, SILENT], p, t, dt)
     assert np.max(np.abs(pairwise - sequential)) < 1e-11
+
+
+def test_lab_frame_many_periods_match_a_sequential_loop():
+    # 40 periods stepped one by one at absolute times, then half a period;
+    # the drive is complex and dephased
+    p = _scaled_ion()
+    e = eigensystem(p).energies
+    tone = MicrowaveTone(5e-5, 2.5e-5, 0.0, e[0] - e[2], 0.7)
+    period = TWO_PI / abs(tone.omega)
+    t, dt = 40.5 * period, 1e-9
+    assert t // period == 40
+    u = np.eye(4, dtype=complex)
+    for q in range(40):
+        u = _midpoint_loop(p, [tone], q * period, period, dt) @ u
+    u = _midpoint_loop(p, [tone], 40 * period, t - 40 * period, dt) @ u
+    got = propagate_lab_frame([tone, SILENT, SILENT], p, t, dt)
+    assert np.max(np.abs(got - _number_basis(p, u))) < 1e-11
+
+
+def test_lab_frame_static_tone_is_one_exponential():
+    # omega = 0: the drive is the constant cos(phi) g, no period to divide by
+    p = _scaled_ion()
+    tone = MicrowaveTone(1e-4, -3e-5, 2e-5, 0.0, 0.4)
+    t = 1e-7
+    got = propagate_lab_frame([tone, SILENT, SILENT], p, t, 1e-10)
+    h = free_hamiltonian(p) - np.cos(tone.phi) * _drive(p, tone)
+    assert np.max(np.abs(got - _number_basis(p, expm_unitary(h, t)))) < 1e-10
+
+
+def _uniform_grid(tones, p, duration, dt):
+    """The whole duration on one grid of ceil(duration / dt) steps: the
+    integration before the period route, built from the same parts."""
+    active = [(t, _drive(p, t)) for t in tones if np.any(_drive(p, t))]
+    gs = np.array([g for _, g in active]).reshape(len(active), 4, 4)
+    n = max(1, int(np.ceil(duration / dt)))
+    step = duration / n
+    x = control._chebyshev_nodes(
+        [step * float(np.linalg.norm(g, 2)) for g in gs])
+    grid = np.array(list(itertools.product(x, repeat=len(active)))).reshape(
+        len(x) ** len(active), len(active))
+    nodes = control.expm_unitary_batch(
+        free_hamiltonian(p) - np.tensordot(grid, gs, axes=(1, 0)), step)
+    u = np.eye(4, dtype=complex)
+    buf = np.empty((4, 4, min(n, control._LAB_CHUNK)), dtype=complex)
+    block = control._LAB_BLOCK
+    for start in range(0, n, control._LAB_CHUNK):
+        tmid = (np.arange(start, min(start + control._LAB_CHUNK, n))
+                + 0.5) * step
+        us = control._step_propagators(nodes, x, active, tmid,
+                                       buf[..., :len(tmid)])
+        full = len(tmid) - len(tmid) % block
+        blocks = us[..., :full].reshape(4, 4, -1, block)
+        for ub in control._pairwise_product(blocks.transpose(2, 0, 1, 3)):
+            u = ub @ u
+        if full < len(tmid):
+            u = control._pairwise_product(us[..., full:]) @ u
+    return _number_basis(p, u)
+
+
+@pytest.mark.parametrize("case", ["no_tone", "static", "two_tones",
+                                  "shorter_than_a_period"])
+def test_lab_frame_without_a_repeated_period_keeps_one_grid(case):
+    p = _scaled_ion()
+    e = eigensystem(p).energies
+    driven = MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.3)
+    tones, t = {
+        "no_tone": ([SILENT, MicrowaveTone(0.0, 0.0, 0.0, 5e8, 0.0),
+                     SILENT], 3e-7),
+        "static": ([MicrowaveTone(1e-4, 2e-5, 0.0, 0.0, 0.4), SILENT,
+                    SILENT], 3e-7),
+        "two_tones": ([driven, MicrowaveTone(0.0, 1.5e-5, 1e-4, e[1] - e[2],
+                                             1.1), SILENT], 3e-7),
+        "shorter_than_a_period": ([SILENT, driven, SILENT], 5e-8),
+    }[case]
+    assert np.array_equal(propagate_lab_frame(tones, p, t, 1e-10),
+                          _uniform_grid(tones, p, t, 1e-10))
+
+
+def test_rwa_check_steps_one_period_per_case(monkeypatch, tmp_path):
+    # each case spans 5,000 to 10,007 periods; stepping them one by one
+    # formed 600,401 step propagators per case
+    steps, cases = [], []
+    step_propagators = control._step_propagators
+    lab_frame = cli.propagate_lab_frame
+
+    def counting(nodes, x, active, t, out):
+        steps[-1] += len(t)
+        return step_propagators(nodes, x, active, t, out)
+
+    def recording(tones, p, duration, dt):
+        steps.append(0)
+        u = lab_frame(tones, p, duration, dt)
+        cases.append((tones, duration, dt, u))
+        return u
+    monkeypatch.setattr(control, "_step_propagators", counting)
+    monkeypatch.setattr(cli, "propagate_lab_frame", recording)
+    assert cli.main(["--out", str(tmp_path), "rwa-check"]) == cli.EXIT_OK
+    assert len(cases) == 3
+    for (tones, duration, dt, u), n in zip(cases, steps):
+        (omega,) = [t.omega for t in tones if (t.bx, t.by, t.bz) != (0, 0, 0)]
+        period = TWO_PI / abs(omega)
+        assert duration / period > 4999
+        assert 0 < n <= 2 * math.ceil(period / dt)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(4), 2) <= 1e-9
 
 
 def test_lab_frame_rejects_coarse_dt():
@@ -384,6 +510,17 @@ def test_lab_frame_silent_tones_add_no_grid_axis(monkeypatch):
     degree = _degree([t / 100 * np.linalg.norm(_drive(p, tone), 2)])
     assert degree > 1
     assert counts == [degree + 1]
+    # over 2.5 periods: one call for the period grid, one for the
+    # remainder's, each with K + 1 nodes for its own step
+    period = TWO_PI / abs(tone.omega)
+    t = 2.5 * period
+    counts.clear()
+    propagate_lab_frame([SILENT, tone, SILENT], p, t, dt)
+    own_steps = [period / math.ceil(period / dt),
+                 (t - 2 * period) / math.ceil((t - 2 * period) / dt)]
+    assert counts == [
+        _degree([h * np.linalg.norm(_drive(p, tone), 2)]) + 1
+        for h in own_steps]
     counts.clear()
     propagate_lab_frame([SILENT, SILENT, SILENT], p, t, dt)
     assert counts == [1]
