@@ -1,0 +1,108 @@
+"""Every CLI artifact is byte-identical to the committed digests.
+
+A fixed list of commands covers every subcommand and every mode (ideal,
+pulsed, pulsed+noise, with and without ``--shots``) at a small GRAPE
+config.  They run in-process through ``cli.main`` and share one output
+directory, so each pulse is synthesized once.  After each command the
+files it wrote outside ``pulses/`` are digested and removed; the pulse
+files are digested at the end.  ``tests/artifact_digests.json`` holds the
+SHA-256 of every file and the numpy, BLAS and platform that wrote them.
+
+A change that moves any artifact updates that file in the same commit:
+
+    PYTHONPATH=src python tests/test_artifact_digests.py
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from spinpair.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
+
+DIGESTS = Path(__file__).with_name("artifact_digests.json")
+
+# a coarse, short GRAPE run and two noise shots keep every command cheap
+SMALL = {"seed": 1, "grape": {"n_segments": 4, "max_iters": 30,
+                              "n_restarts": 1},
+         "noise": {"n_samples": 2}}
+DETUNINGS = {**SMALL, "grape": {**SMALL["grape"],
+                                "optimize_detunings": True}}
+MODES = ("ideal", "pulsed", "pulsed+noise")
+
+# (config, argv); the detuning run synthesizes with the eigh kernel
+COMMANDS = (
+    [(SMALL, ("synthesize", "hadamard1")),
+     (DETUNINGS, ("synthesize", "phase2"))]
+    + [(SMALL, (cmd, "hadamard1", "--mode", mode, *shots))
+       for cmd in ("qst", "qpt") for mode in MODES
+       for shots in ((), ("--shots", "100"))]
+    + [(SMALL, ("grover", "--marked", str(m), "--mode", mode))
+       for m in (1, 2, 3, 4) for mode in MODES]
+    + [(SMALL, ("noise-sweep", "--duration", "1e-4")),
+       (SMALL, ("multiion-verify", "all")),
+       (SMALL, ("multiion-verify", "composite-zz", "--draws", "2")),
+       (SMALL, ("rwa-check",))])
+
+
+def environment() -> dict:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_commands(root: Path) -> dict:
+    """Run COMMANDS below ``root``; the SHA-256 of every file written,
+    keyed by ``"<argv>: <path>"`` and ``"pulses: <path>"``."""
+    out = root / "out"
+    digests = {}
+    for n, (config, argv) in enumerate(COMMANDS):
+        path = root / f"config{n}.json"
+        path.write_text(json.dumps(config))
+        code = main(["--config", str(path), "--out", str(out), *argv])
+        assert code in (EXIT_OK, EXIT_NO_CONVERGENCE), (argv, code)
+        for p in sorted(out.glob("*")):
+            if p.is_file():
+                digests[f"{' '.join(argv)}: {p.name}"] = _sha256(p)
+                p.unlink()
+    for p in sorted((out / "pulses").glob("*")):
+        digests[f"pulses: {p.name}"] = _sha256(p)
+    return digests
+
+
+def test_artifacts_match_the_committed_digests(tmp_path):
+    want = json.loads(DIGESTS.read_text())
+    got = run_commands(tmp_path)
+    moved = []
+    for key in sorted(want["digests"].keys() | got.keys()):
+        if key not in got:
+            moved.append(f"{key} (not written)")
+        elif key not in want["digests"]:
+            moved.append(f"{key} (new)")
+        elif got[key] != want["digests"][key]:
+            moved.append(f"{key} (changed)")
+    platform_diff = [f"{k}: {want['environment'].get(k)} recorded, {v} now"
+                     for k, v in environment().items()
+                     if want["environment"].get(k) != v]
+    assert not moved, "\n  ".join(
+        [f"{len(moved)} artifacts differ from {DIGESTS.name}:", *moved]
+        + (["under a different environment:", *platform_diff]
+           if platform_diff else []))
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_commands(Path(tmp))
+    DIGESTS.write_text(json.dumps({"environment": environment(),
+                                   "digests": digests}, indent=1,
+                                  sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
