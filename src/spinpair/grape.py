@@ -3,25 +3,45 @@
 The optimizer works on piecewise-constant rotating-frame controls.  The
 objective is the gate fidelity |Tr(U_target^dag U)|^2 / d^2 averaged over a
 set of amplitude scalings (ensemble robustness against pulse amplitude
-errors).  Gradients are exact: each segment exponential is differentiated
-through its eigendecomposition (Loewner / divided-difference formula), so
-the analytic gradient matches finite differences to solver precision.
+errors).  Gradients are exact, so the analytic gradient matches finite
+differences to solver precision.
 
 The optimizer's flat parameter vector stores each coupling as an
 [Re, Im] pair, so ``_pulse`` views it as a ``control.PulseSequence``
 without copying.  ``_Point`` evaluates one such sequence over all S
 robustness scalings at once: one (S, n, 4, 4) stack of segment
-Hamiltonians, one batched eigendecomposition of all S x n of them, and
-one forward loop over the n segments whose steps are (S, 4, 4) products,
-keeping every prefix.  The gradient is computed on demand, only for
-points the ascent accepts, from that evaluation's eigenpairs and
-prefixes; line-search trials cost one evaluation each.  It is one
-batched contraction over the scalings and segments: with the Loewner
-matrix Gamma_k of segment k and A_k = V_k^dag P_k V_k, where
-Tr(target^dag U) = Tr(P_k U_k), the array
-D_k = conj(tr) conj(V_k) (A_k^T o Gamma_k) V_k^T holds
-conj(tr) dTr/dH_k[i, j] for every matrix element, and every coupling and
-detuning partial is read off D by indexing.
+propagators and one forward loop over the n segments whose steps are
+(S, 4, 4) products, keeping every prefix.  The gradient is computed on
+demand, only for points the ascent accepts, from that evaluation's
+propagators and prefixes; line-search trials cost one evaluation each.
+With P_k the prefix product for which Tr(target^dag U) = Tr(P_k U_k), it
+is one batched contraction over the scalings and segments.
+
+Two kernels give the segment propagators and their derivatives:
+
+* Closed form, for a sequence whose detunings are all zero when no
+  detuning partial is wanted (``optimize_detunings`` off, the default).
+  Each segment Hamiltonian is then H = |3><w| + |w><3|, with
+  w = s conj(c31, c32, c34) on levels 1, 2, 4.  H has rank 2 and
+  eigenvalues +-|w|, 0, 0 (the Morris-Shore reduction: Morris & Shore,
+  Phys. Rev. A 27, 906 (1983)), so with r = |w| and w^ = w / r,
+  exp(-iHt) = I + (cos rt - 1)(|3><3| + |w^><w^|)
+  - i sin rt (|3><w^| + |w^><3|), and tr = Tr(P_k U_k) depends on w
+  only through P_33, <w|P_k|w> and <w|P_k|3> + <3|P_k|w>.  The Wirtinger
+  derivatives of these give the coupling partials.  Below r t = 1e-4
+  the coefficients come from their Taylor series, so a zero-amplitude
+  segment needs no special case.
+* Eigendecomposition, for any other point: one batched ``eigh`` of all
+  S x n segment Hamiltonians, differentiated through the Loewner
+  (divided-difference) formula.  With the Loewner matrix Gamma_k of
+  segment k and A_k = V_k^dag P_k V_k, the array
+  D_k = conj(tr) conj(V_k) (A_k^T o Gamma_k) V_k^T holds
+  conj(tr) dTr/dH_k[i, j] for every matrix element, and every coupling and
+  detuning partial is read off D by indexing.
+
+The branch is chosen from the data and the partials asked for; it has no
+option.  ``control.propagate`` keeps the eigendecomposition for every
+sequence.
 
 Gate targets are defined in the spin basis; propagation lives in the
 number basis, so targets are conjugated with the mapping operator before
@@ -43,7 +63,7 @@ TWO_PI = 2.0 * np.pi
 
 # Part of the pulse-cache key: raise it whenever a change to this module can
 # change the pulse ``synthesize`` returns for a given configuration.
-SYNTHESIS_VERSION = 2
+SYNTHESIS_VERSION = 3
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _I2 = np.eye(2, dtype=complex)
@@ -170,24 +190,78 @@ def _clip_amplitudes(x: np.ndarray, cfg: GrapeConfig) -> np.ndarray:
 
 # Levels that couple to |3> and carry the detunings d1, d2, d4.
 _L = [L1, L2, L4]
+# below this r t the closed form's coefficients come from their series
+_SERIES_RT = 1e-4
+
+
+def _rank2_coefficients(q: np.ndarray, t: np.ndarray):
+    """Coefficients of exp(-iHt) = I + a|3><3| + b|w><w| - i c (|3><w| +
+    |w><3|) for H = |3><w| + |w><3| with q = <w|w>, and the derivatives
+    of a, b, c in q, as ``(a, b, c, da, db, dc)``.
+
+    With r = sqrt(q): a = cos rt - 1, b = a / q and c = sin(rt) / r.  All
+    six are entire in q; below r t = _SERIES_RT they are summed from
+    their Taylor series in y = (r t)^2, whose next terms are below 1e-16
+    relative there.
+    """
+    t = np.broadcast_to(t, q.shape)
+    y = q * t**2
+    series = y < _SERIES_RT**2
+    any_series = np.any(series)
+    if any_series:
+        q = np.where(series, 1.0, q)  # finite below; replaced by the series
+    r = np.sqrt(q)
+    a = -2.0 * np.sin(0.5 * r * t) ** 2
+    b = a / q
+    c = np.sin(r * t) / r
+    db = (-0.5 * t * c - b) / q
+    dc = (t * np.cos(r * t) - c) / (2.0 * q)
+    if any_series:
+        ys, ts = y[series], t[series]
+        a[series] = ys * (-0.5 + ys / 24.0)
+        b[series] = ts**2 * (-0.5 + ys / 24.0)
+        c[series] = ts * (1.0 - ys / 6.0)
+        db[series] = ts**4 * (1.0 / 24.0 - ys / 360.0)
+        dc[series] = ts**3 * (-1.0 / 6.0 + ys / 60.0)
+    return a, b, c, -0.5 * t * c, db, dc
 
 
 class _Point:
     """One control point evaluated over all amplitude scalings in one batch.
 
     ``fidelity`` is the mean over the scalings; ``gradient`` reuses this
-    evaluation's eigenpairs and forward prefixes.
+    evaluation's segment propagators and forward prefixes.  A sequence
+    with no non-zero detuning, whose detuning partials are not wanted
+    (``detunings`` false), is evaluated in closed form; any other through
+    the segments' eigendecompositions.
     """
 
-    def __init__(self, seq: PulseSequence, target_n: np.ndarray, scalings):
+    def __init__(self, seq: PulseSequence, target_n: np.ndarray, scalings,
+                 detunings: bool = False):
         self.dts = seq.durations
         self.target_n = target_n
         self.scalings = scalings
-        self.ws, self.vs = np.linalg.eigh(
-            control_hamiltonian(seq, scale=scalings))
-        self.ew = np.exp(-1j * self.ws * self.dts[:, None])
-        us = ((self.vs * self.ew[..., None, :])
-              @ self.vs.conj().swapaxes(-1, -2))
+        if detunings or np.any(seq.dets):
+            self.w = None
+            self.ws, self.vs = np.linalg.eigh(
+                control_hamiltonian(seq, scale=scalings))
+            self.ew = np.exp(-1j * self.ws * self.dts[:, None])
+            us = ((self.vs * self.ew[..., None, :])
+                  @ self.vs.conj().swapaxes(-1, -2))
+        else:
+            # H_k = |3><w_k| + |w_k><3|, w_k = s conj(c_k) on levels 1, 2, 4
+            self.w = np.zeros((len(scalings), len(self.dts), 4),
+                              dtype=complex)
+            self.w[..., _L] = np.multiply.outer(scalings, seq.amps.conj())
+            self.coef = _rank2_coefficients(
+                np.sum(np.abs(self.w) ** 2, axis=-1), self.dts)
+            a, b, c = (x[..., None] for x in self.coef[:3])
+            w = self.w
+            us = b[..., None] * w[..., :, None] * w.conj()[..., None, :]
+            us += np.eye(4)
+            us[..., L3, :] = -1j * c * w.conj()
+            us[..., :, L3] = -1j * c * w
+            us[..., L3, L3] = 1.0 + a[..., 0]
         # forward[k] = U_k ... U_1 for every scaling (forward[0] = I), in
         # time order: another order moves the pulses in their last bits
         forward = [np.broadcast_to(np.eye(4, dtype=complex), us[:, 0].shape)]
@@ -204,9 +278,40 @@ class _Point:
     def gradient(self):
         """Gradient of the mean fidelity as ``(g_amps, g_dets)``: complex
         (n, 3) whose real and imaginary parts are the partials in Re and
-        Im of c31, c32, c34, and real (n, 3) partials in d1, d2, d4."""
-        ws, vs, ew = self.ws, self.vs, self.ew
+        Im of c31, c32, c34, and real (n, 3) partials in d1, d2, d4
+        (None from the closed form)."""
         fw = np.stack(self.forward, axis=1)
+        # tr = Tr(P_k U_k) with P_k = forward[k] T^dag U_N ... U_{k+1}, and
+        # U_N ... U_{k+1} = U forward[k+1]^dag
+        p = (fw[:, :-1] @ (self.target_n.conj().T @ fw[:, -1:])
+             @ fw[:, 1:].conj().swapaxes(-1, -2))
+        norm = (2.0 / 16.0) / len(self.scalings)
+        if self.w is None:
+            g_amps, g_dets = self._eigh_gradient(p)
+            return norm * g_amps, norm * g_dets
+        # tr = Tr(P) + a P_33 + b <w|P|w> - i c (<w|P|3> + <3|P|w>) with
+        # a, b, c functions of q = <w|w>; Wirtinger partials in w and
+        # conj(w) of tr, taking both as independent
+        _, b, c, da, db, dc = (x[..., None] for x in self.coef)
+        w = self.w
+        pw = (p @ w[..., None])[..., 0]                  # P|w>
+        wp = (w.conj()[..., None, :] @ p)[..., 0, :]     # <w|P
+        wpw = np.sum(w.conj() * pw, axis=-1, keepdims=True)
+        e = (da * p[..., L3, L3, None] + db * wpw
+             - 1j * dc * (wp[..., L3, None] + pw[..., L3, None]))
+        d_wbar = w * e + b * pw - 1j * c * p[..., :, L3]
+        d_w = w.conj() * e + b * wp - 1j * c * p[..., L3, :]
+        # c_j = conj(w_j) / s, so the Re c_j and Im c_j partials of |tr|^2
+        # are the real and imaginary parts of
+        # s (conj(tr) dtr/dw_j + tr conj(dtr/dconj(w_j)))
+        trc = self.tr.conj()[:, None, None]
+        s = np.asarray(self.scalings, dtype=float)[:, None, None]
+        g = s * (trc * d_w + (trc * d_wbar).conj())
+        return norm * np.ascontiguousarray(np.sum(g, axis=0)[:, _L]), None
+
+    def _eigh_gradient(self, p):
+        """The gradient from each segment's eigenpairs, unnormalized."""
+        ws, vs, ew = self.ws, self.vs, self.ew
         # dU_k = V (gamma o V^dag dH V) V^dag, gamma the divided differences
         # of exp(-i w dt) over each segment's eigenvalue pairs
         dw = ws[..., :, None] - ws[..., None, :]
@@ -216,10 +321,6 @@ class _Point:
                          -1j * self.dts[:, None, None] * ew[..., :, None],
                          (ew[..., :, None] - ew[..., None, :])
                          / np.where(close, 1.0, dw))
-        # tr = Tr(P_k U_k) with P_k = forward[k] T^dag U_N ... U_{k+1}, and
-        # U_N ... U_{k+1} = U forward[k+1]^dag
-        p = (fw[:, :-1] @ (self.target_n.conj().T @ fw[:, -1:])
-             @ fw[:, 1:].conj().swapaxes(-1, -2))
         a = vs.conj().swapaxes(-1, -2) @ p @ vs
         # d[s, k, i, j] = conj(tr_s) dtr_s / dH_sk[i, j]
         d = (self.tr.conj()[:, None, None, None]
@@ -234,8 +335,7 @@ class _Point:
             # s (conj(d[3, j]) + d[j, 3])
             g_amps += s * (d_s[:, L3, _L].conj() + d_s[:, _L, L3])
             g_dets += d_s[:, _L, _L].real
-        norm = (2.0 / 16.0) / len(self.scalings)
-        return norm * g_amps, norm * g_dets
+        return g_amps, g_dets
 
 
 def target_in_number_basis(target: GateTarget, ion: IonParams) -> np.ndarray:
@@ -261,7 +361,7 @@ def gradient(seq: PulseSequence, target: GateTarget,
     (detuning partials appended per segment).
     """
     g_amps, g_dets = _Point(seq, target_in_number_basis(target, ion),
-                            scalings).gradient()
+                            scalings, optimize_detunings).gradient()
     g = g_amps.view(float)
     return np.hstack([g, g_dets]) if optimize_detunings else g
 
@@ -273,13 +373,15 @@ def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
     points, from their evaluation.
     """
     def evaluate(x):
-        return _Point(_pulse(x, cfg), target_n, cfg.robustness_scalings)
+        return _Point(_pulse(x, cfg), target_n, cfg.robustness_scalings,
+                      cfg.optimize_detunings)
 
     def flat_gradient(point):
         g_amps, g_dets = point.gradient()
         # laid out like x: amplitudes as [Re, Im] pairs, then detunings
-        return np.concatenate([g_amps.view(float).ravel(),
-                               g_dets.ravel()])[:x0.size]
+        g = g_amps.view(float).ravel()
+        return np.concatenate([g, g_dets.ravel()]) if g_dets is not None \
+            else g
 
     x = _clip_amplitudes(x0, cfg)
     point = evaluate(x)

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import fd_gradient
 from spinpair.control import PulseSequence, propagate
-from spinpair.grape import (ALL_GATES, TABLE_GATES, GateTarget, GrapeConfig,
-                            gradient, objective, standard_gate, synthesize,
+from spinpair.grape import (_SERIES_RT, ALL_GATES, TABLE_GATES, GateTarget,
+                            GrapeConfig, _Point, gradient, objective,
+                            standard_gate, synthesize,
                             target_in_number_basis)
 from spinpair.ion import YB171, eigensystem
 from spinpair.linalg import gate_fidelity
@@ -130,30 +131,104 @@ def test_converged_requires_generalization(monkeypatch):
 
 
 def test_ascent_evaluates_each_point_once(monkeypatch):
-    # one Hamiltonian build per evaluated point: the start point and every
-    # line-search trial, each over all robustness scalings at once
+    # one evaluation per point: the start point and every line-search
+    # trial, each over all robustness scalings at once
     import spinpair.grape as grape
-    builds, clips = [], []
-    build, clip = grape.control_hamiltonian, grape._clip_amplitudes
+    points, clips = [], []
+    point, clip = grape._Point, grape._clip_amplitudes
 
-    def counting_build(seq, scale=1.0):
-        h = build(seq, scale=scale)
-        builds.append(h.shape)
-        return h
+    def counting_point(seq, target_n, scalings, *args):
+        points.append(tuple(scalings))
+        return point(seq, target_n, scalings, *args)
 
     def counting_clip(x, cfg):
         clips.append(1)
         return clip(x, cfg)
 
-    monkeypatch.setattr(grape, "control_hamiltonian", counting_build)
+    monkeypatch.setattr(grape, "_Point", counting_point)
     monkeypatch.setattr(grape, "_clip_amplitudes", counting_clip)
     cfg = GrapeConfig(n_segments=4, max_iters=15, n_restarts=1,
                       target_fidelity=1.0)
     res = synthesize(standard_gate("cnot12"), cfg)
     assert res.iterations == 15
-    assert len(builds) == len(clips) >= 1 + res.iterations
-    assert all(shape == (len(cfg.robustness_scalings), 4, 4, 4)
-               for shape in builds)
+    assert len(points) == len(clips) >= 1 + res.iterations
+    assert all(sc == cfg.robustness_scalings for sc in points)
+
+
+def _zero_detuning_sequence(rng, rt=None):
+    # segment 1 has zero amplitude; segment 2, if rt is given, has
+    # |c| t = rt at scaling 1
+    seq = _random_sequence(rng)
+    seq.dets[:] = 0.0
+    seq.amps[1] = 0.0
+    if rt is not None:
+        seq.amps[2] *= rt / (np.linalg.norm(seq.amps[2]) * seq.durations[2])
+    return seq
+
+
+@pytest.mark.parametrize("scalings", [(1.0,), (0.95, 1.0, 1.05)],
+                         ids=["one-scaling", "three-scalings"])
+@pytest.mark.parametrize("rt", [_SERIES_RT * (1 - 1e-3),
+                                _SERIES_RT * (1 + 1e-3)],
+                         ids=["below-series-switch", "above-series-switch"])
+def test_closed_form_gradient_matches_finite_differences(rt, scalings):
+    rng = np.random.default_rng(8)
+    target = standard_gate("cnot12")
+    seq = _zero_detuning_sequence(rng, rt)
+    g = gradient(seq, target, scalings=scalings)
+    fd = fd_gradient(seq, target, scalings, False)
+    assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-5
+    # the segments at zero and small amplitude have partials of the same
+    # order as the others, so a wrong series would show above
+    assert np.min(np.max(np.abs(fd), axis=1)) > 1e-3 * np.max(np.abs(fd))
+
+
+def test_closed_form_matches_eigh_kernel():
+    rng = np.random.default_rng(21)
+    cfg = GrapeConfig()
+    target_n = target_in_number_basis(standard_gate("swap"), YB171)
+    for _ in range(10):
+        seq = _zero_detuning_sequence(rng)
+        seq.amps[:] = (rng.normal(size=(4, 3)) + 1j * rng.normal(
+            size=(4, 3))) * cfg.omega_max / 2
+        seq.amps[1] = 0.0
+        closed = _Point(seq, target_n, cfg.robustness_scalings)
+        eigh = _Point(seq, target_n, cfg.robustness_scalings, True)
+        assert closed.w is not None and eigh.w is None
+        assert abs(closed.fidelity - eigh.fidelity) <= 1e-15
+        g, g_eigh = closed.gradient()[0], eigh.gradient()[0]
+        assert np.max(np.abs(g - g_eigh)) <= 1e-13 * np.max(np.abs(g_eigh))
+
+
+def test_detuning_partials_at_zero_detunings_match_finite_differences():
+    # the closed form has no detuning partials; asking for them takes the
+    # eigh kernel even where every detuning is zero
+    rng = np.random.default_rng(13)
+    target = standard_gate("phase2")
+    seq = _zero_detuning_sequence(rng)
+    sc = (0.95, 1.0, 1.05)
+    g = gradient(seq, target, scalings=sc, optimize_detunings=True)
+    fd = fd_gradient(seq, target, sc, True)
+    assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-5
+    assert np.max(np.abs(g[:, 6:])) > 1e-3 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("optimize_detunings", [False, True])
+def test_eigh_runs_only_for_points_with_detunings(monkeypatch,
+                                                 optimize_detunings):
+    import spinpair.grape as grape
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(grape.np.linalg, "eigh", counting_eigh)
+    cfg = GrapeConfig(n_segments=4, max_iters=5, n_restarts=1,
+                      optimize_detunings=optimize_detunings)
+    synthesize(standard_gate("cnot12"), cfg)
+    assert (len(calls) > 0) == optimize_detunings
 
 
 @pytest.mark.parametrize("optimize_detunings", [False, True])
