@@ -380,8 +380,9 @@ def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
         g_amps, g_dets = point.gradient()
         # laid out like x: amplitudes as [Re, Im] pairs, then detunings
         g = g_amps.view(float).ravel()
-        return np.concatenate([g, g_dets.ravel()]) if g_dets is not None \
-            else g
+        if g_dets is None:
+            return g
+        return np.concatenate([g, g_dets.ravel()])
 
     x = _clip_amplitudes(x0, cfg)
     point = evaluate(x)

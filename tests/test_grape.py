@@ -188,10 +188,10 @@ def test_closed_form_matches_eigh_kernel():
     cfg = GrapeConfig()
     target_n = target_in_number_basis(standard_gate("swap"), YB171)
     for _ in range(10):
-        seq = _zero_detuning_sequence(rng)
-        seq.amps[:] = (rng.normal(size=(4, 3)) + 1j * rng.normal(
-            size=(4, 3))) * cfg.omega_max / 2
-        seq.amps[1] = 0.0
+        amps = (rng.normal(size=(4, 3))
+                + 1j * rng.normal(size=(4, 3))) * cfg.omega_max / 2
+        amps[1] = 0.0
+        seq = PulseSequence(np.full(4, 2.5e-5), amps, np.zeros((4, 3)))
         closed = _Point(seq, target_n, cfg.robustness_scalings)
         eigh = _Point(seq, target_n, cfg.robustness_scalings, True)
         assert closed.w is not None and eigh.w is None
