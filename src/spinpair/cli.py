@@ -34,7 +34,8 @@ from .control import (MicrowaveTone, PulseSequence, propagate,
 from .grape import (ALL_GATES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
                     standard_gate, synthesize)
 from .ion import IonParams, YB171, eigensystem
-from .linalg import DensityMatrix, process_fidelity, state_fidelity
+from .linalg import (DensityMatrix, StateVector, process_fidelity,
+                     state_fidelity)
 from .multiion import (GradientDrive, TwoIonSystem, composite_zz,
                        large_field_selectivity, motion_disentanglement_check,
                        ms_composite_xx)
@@ -290,6 +291,11 @@ _LEVEL3 = DensityMatrix(np.diag([0, 0, 1, 0]).astype(complex),
                         basis="number")
 
 
+def _level3_image(channel) -> StateVector:
+    """U|3> for a one-shot channel U: the pure reference state."""
+    return StateVector(channel.unitaries[0][:, 2], basis="number")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -308,7 +314,7 @@ def cmd_qst(cfg: RunConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
     rho = _gate_channel(cfg, args.gate, args.mode)(_LEVEL3)
     rho_est = qst(rho, shots=args.shots, rng=rng)
-    ideal = _gate_channel(cfg, args.gate, "ideal")(_LEVEL3)
+    ideal = _level3_image(_gate_channel(cfg, args.gate, "ideal"))
     fid = state_fidelity(rho_est, ideal)
 
     r = eigensystem(cfg.ion).eigenvectors
@@ -465,7 +471,7 @@ def cmd_noise_sweep(cfg: RunConfig, args) -> int:
         raise ConfigError(f"--duration: {exc}") from exc
 
     seq, _ = ensure_pulse(cfg_long, args.gate)
-    ideal = gate_channel(seq, "pulsed")(_LEVEL3)
+    ideal = _level3_image(gate_channel(seq, "pulsed"))
 
     rows = []
     fids = {}

@@ -134,15 +134,27 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def state_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+def state_fidelity(rho: DensityMatrix,
+                   sigma: DensityMatrix | StateVector) -> float:
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
+
+    For a pure ``sigma`` given as a StateVector |psi> this is exactly
+    <psi|rho|psi>, computed without matrix square roots: those of a
+    rank-deficient rho turn rounding into errors of order 1e-8.
+    """
     if rho.basis != sigma.basis:
         raise BasisMismatchError(f"basis {rho.basis!r} vs {sigma.basis!r}")
-    if rho.dim != sigma.dim:
-        raise ValueError("dimension mismatch")
-    sr = _psd_sqrt(rho.entries)
-    inner = _psd_sqrt(sr @ sigma.entries @ sr)
-    f = float(np.trace(inner).real ** 2)
+    if isinstance(sigma, StateVector):
+        psi = sigma.amplitudes
+        if psi.shape[0] != rho.dim:
+            raise ValueError("dimension mismatch")
+        f = float(np.vdot(psi, rho.entries @ psi).real)
+    else:
+        if rho.dim != sigma.dim:
+            raise ValueError("dimension mismatch")
+        sr = _psd_sqrt(rho.entries)
+        inner = _psd_sqrt(sr @ sigma.entries @ sr)
+        f = float(np.trace(inner).real ** 2)
     return min(max(f, 0.0), 1.0)
 
 

@@ -10,6 +10,13 @@ Molmer-Sorensen interactions.
 Two-ion operators put ion p before ion w (slow index first).  The
 spin-motion evolution is kept as one motional (Fock) propagator per spin
 basis state, indexed by the 16-dim spin index.
+
+S = sum_n Omega^n (I^n_1z + I^n_2z), U_zz and the ZZ target are diagonal
+in the tensor z-basis, so they are computed from their 16 diagonal values
+with elementwise exponentials, and the composite ZZ echo applies each
+U_zz factor as a row scaling.  The pi rotations of that echo and the four
+sandwich rotations of the MS composite depend on no parameter; they are
+module constants.
 """
 
 from __future__ import annotations
@@ -80,13 +87,20 @@ def two_ion_op(op: np.ndarray, which: int) -> np.ndarray:
     return kron(op, I4) if which == 0 else kron(I4, op)
 
 
+# diagonals of the single-ion I_1z + I_2z and I_2z
+_IZ_SUM = np.diag(I1Z + I2Z).real
+_I2Z = np.diag(I2Z).real
+
+
+def _spin_z_diagonal(sys: TwoIonSystem) -> np.ndarray:
+    """The 16 real diagonal values of S = sum_{n,l} Omega^n I^n_{l,z}."""
+    om = [coupling_strength(sys, n) for n in range(2)]
+    return (om[0] * _IZ_SUM[:, None] + om[1] * _IZ_SUM[None, :]).ravel()
+
+
 def spin_z_total(sys: TwoIonSystem) -> np.ndarray:
     """S = sum_{n,l} Omega^n I^n_{l,z}, diagonal on the 16-dim spin space."""
-    s = np.zeros((16, 16), dtype=complex)
-    for n in range(2):
-        om = coupling_strength(sys, n)
-        s += om * two_ion_op(I1Z + I2Z, n)
-    return s
+    return np.diag(_spin_z_diagonal(sys).astype(complex))
 
 
 def coupling_strength(sys: TwoIonSystem, n: int) -> float:
@@ -115,7 +129,7 @@ def integrate_spin_motion(sys: TwoIonSystem, duration: float,
     dt = duration / n
     k = np.arange(sys.fock_cutoff)
     a = np.diag(np.sqrt(k[1:]), k=1)
-    s = np.diag(spin_z_total(sys)).real
+    s = _spin_z_diagonal(sys)
     m = expm_unitary_batch(-s[:, None, None] * (a + a.T), dt)
     q = np.exp(-1j * sys.drive.delta * dt * k)
     u = np.linalg.matrix_power(m * q, n - 1) @ m
@@ -126,14 +140,23 @@ def integrate_spin_motion(sys: TwoIonSystem, duration: float,
     return p(n - 1)[:, None] * u * p(0).conj()
 
 
+def _kf(sys: TwoIonSystem) -> float:
+    """The U_zz phase factor 2 k1 pi / delta^2."""
+    return 2 * sys.drive.k1 * np.pi / sys.drive.delta**2
+
+
+def _uzz_diagonal(sys: TwoIonSystem) -> np.ndarray:
+    """The 16 diagonal entries exp(i k_f s^2) of U_zz."""
+    s = _spin_z_diagonal(sys)
+    return np.exp(1j * _kf(sys) * (s * s))
+
+
 def uzz_spin_unitary(sys: TwoIonSystem) -> np.ndarray:
     """Closed-form spin unitary at tau = 2 k1 pi / delta.
 
     U_zz = exp[(2 k1 pi i / delta^2) S^2], diagonal in the tensor z-basis.
     """
-    s = spin_z_total(sys)
-    k1, delta = sys.drive.k1, sys.drive.delta
-    return expm_unitary(-(2 * k1 * np.pi / delta**2) * (s @ s))
+    return np.diag(_uzz_diagonal(sys))
 
 
 @dataclass
@@ -187,16 +210,18 @@ def _r2y(ion_index: int, theta: float) -> np.ndarray:
     return two_ion_op(expm_unitary(I2Y, theta), ion_index)
 
 
-def _composite_target(sys: TwoIonSystem, op: np.ndarray) -> np.ndarray:
-    """The closed-form composite target for the electron-spin operator
-    ``op`` on both ions (I2z for ZZ, I2x for XX); see composite_zz_target."""
-    k1, delta = sys.drive.k1, sys.drive.delta
-    kf = 2 * k1 * np.pi / delta**2
+# draw-independent pi rotations of the echo: qubit 1 of ion w, and of both
+_ECHO_W = _r1y(1, -np.pi)
+_ECHO_PW = _r1y(0, np.pi) @ _r1y(1, np.pi)
+
+
+def _composite_coupling(sys: TwoIonSystem) -> tuple[float, complex]:
+    """(g, phase) of the composite targets exp(i g O^p O^w) phase, with
+    g = k_f 8 Om_p Om_w; see composite_zz_target."""
+    kf = _kf(sys)
     om = [coupling_strength(sys, n) for n in range(2)]
-    pair = two_ion_op(op, 0) @ two_ion_op(op, 1)
     theta1 = kf * (om[0]**2 + om[1]**2)
-    return expm_unitary(-kf * 8 * om[0] * om[1] * pair) * np.exp(
-        1j * (2 * theta1 + np.pi))
+    return kf * 8 * om[0] * om[1], np.exp(1j * (2 * theta1 + np.pi))
 
 
 def composite_zz_target(sys: TwoIonSystem) -> np.ndarray:
@@ -208,24 +233,23 @@ def composite_zz_target(sys: TwoIonSystem) -> np.ndarray:
     (total 2 theta1) and the paired pi rotations contribute a spinor -1;
     both checked against the explicit product.
     """
-    return _composite_target(sys, I2Z)
+    g, phase = _composite_coupling(sys)
+    return np.diag(np.exp(1j * g * np.outer(_I2Z, _I2Z).ravel()) * phase)
 
 
 def composite_zz(sys: TwoIonSystem) -> tuple[np.ndarray, float]:
     """Eight-factor echo sequence isolating the electron-electron ZZ term.
 
-    Factors are applied right to left.  Returns (composite, distance to
-    the closed-form target); the identity is exact, so the distance is at
-    floating-point level for any drive parameters.
+    Factors are applied right to left:
+    U_zz R_pw U_zz R_w U_zz R_pw U_zz R_w, each U_zz as a row scaling by
+    its diagonal.  Returns (composite, distance to the closed-form
+    target); the identity is exact, so the distance is at floating-point
+    level for any drive parameters.
     """
-    uzz = uzz_spin_unitary(sys)
-    seq = [
-        _r1y(1, -np.pi), uzz, _r1y(0, np.pi) @ _r1y(1, np.pi), uzz,
-        _r1y(1, -np.pi), uzz, _r1y(0, np.pi) @ _r1y(1, np.pi), uzz,
-    ]
-    u = I16.copy()
-    for factor in seq:
-        u = factor @ u
+    uzz = _uzz_diagonal(sys)[:, None]
+    u = I16
+    for rot in (_ECHO_W, _ECHO_PW, _ECHO_W, _ECHO_PW):
+        u = uzz * (rot @ u)
     return u, float(np.linalg.norm(u - composite_zz_target(sys))
                     / np.sqrt(16))
 
@@ -236,7 +260,9 @@ def composite_xx_from_zz(sys: TwoIonSystem) -> tuple[np.ndarray, float]:
     left = _r2y(0, np.pi / 2) @ _r2y(1, np.pi / 2)
     right = _r2y(0, -np.pi / 2) @ _r2y(1, -np.pi / 2)
     u = left @ uzz_22 @ right
-    target = _composite_target(sys, I2X)
+    g, phase = _composite_coupling(sys)
+    pair = two_ion_op(I2X, 0) @ two_ion_op(I2X, 1)
+    target = expm_unitary(-g * pair) * phase
     return u, float(np.linalg.norm(u - target) / np.sqrt(16))
 
 
@@ -287,6 +313,21 @@ def transition_rotation(j: int, l: int, theta: float,
     return two_ion_op(expm_unitary(transition_op_y(j, l), theta), ion_index)
 
 
+def _rot(j: int, l: int, theta: float, ion_index: int) -> np.ndarray:
+    """exp(+i theta I_{j<->l,y}): the rotation sense of ms_composite_xx."""
+    return transition_rotation(j, l, -theta, ion_index)
+
+
+# the sandwich rotations r1..r4 of ms_composite_xx: per ion a pi/2 pulse
+# on 1<->4 after a pi pulse on 1<->2 or 3<->4; number-basis level indices
+# are zero-based: levels |1..4> -> 0..3
+_MS_SANDWICHES = tuple(
+    _rot(0, 3, np.pi / 2, 0) @ _rot(*p, np.pi, 0)
+    @ _rot(0, 3, np.pi / 2, 1) @ _rot(*w, np.pi, 1)
+    for p, w in (((0, 1), (2, 3)), ((2, 3), (0, 1)),
+                 ((0, 1), (0, 1)), ((2, 3), (2, 3))))
+
+
 def theta_prime(theta0: float) -> float:
     """Residual clock-transition rotation angle of the composite.
 
@@ -331,27 +372,14 @@ def ms_composite_xx(tau: float, ion: IonParams = YB171,
     """
     if theta0 is None:
         _, theta0 = mixing_angle(ion)
-
-    def rot(j, l, theta, ion_index):
-        return transition_rotation(j, l, -theta, ion_index)
-
-    # number-basis level indices are zero-based: levels |1..4> -> 0..3
-    r1 = (rot(0, 3, np.pi / 2, 0) @ rot(0, 1, np.pi, 0)
-          @ rot(0, 3, np.pi / 2, 1) @ rot(2, 3, np.pi, 1))
-    r2 = (rot(0, 3, np.pi / 2, 0) @ rot(2, 3, np.pi, 0)
-          @ rot(0, 3, np.pi / 2, 1) @ rot(0, 1, np.pi, 1))
-    r3 = (rot(0, 3, np.pi / 2, 0) @ rot(0, 1, np.pi, 0)
-          @ rot(0, 3, np.pi / 2, 1) @ rot(0, 1, np.pi, 1))
-    r4 = (rot(0, 3, np.pi / 2, 0) @ rot(2, 3, np.pi, 0)
-          @ rot(0, 3, np.pi / 2, 1) @ rot(2, 3, np.pi, 1))
     thp = theta_prime(theta0)
-    r5 = rot(1, 2, thp, 0) @ rot(1, 2, thp, 1)
+    r5 = _rot(1, 2, thp, 0) @ _rot(1, 2, thp, 1)
 
     ums = ms_interaction(4 * tau)
-    u = (r5.conj().T @ r4 @ ums @ r4.conj().T
-         @ r3 @ ums @ r3.conj().T
-         @ r2 @ ums @ r2.conj().T
-         @ r1 @ ums @ r1.conj().T @ r5)
+    u = r5.conj().T
+    for r in reversed(_MS_SANDWICHES):
+        u = u @ r @ ums @ r.conj().T
+    u = u @ r5
 
     r = mapping_operator(theta0)
     rr = kron(r, r)

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_state, random_unitary
-from spinpair.linalg import (DensityMatrix, StateVector, expm_unitary,
-                             expm_unitary_batch, gate_fidelity, kron,
-                             phase_min_distance, project_psd, state_fidelity)
+from spinpair.linalg import (BasisMismatchError, DensityMatrix, StateVector,
+                             expm_unitary, expm_unitary_batch, gate_fidelity,
+                             kron, phase_min_distance, project_psd,
+                             state_fidelity)
 
 
 def test_state_vector_normalization_enforced():
@@ -86,6 +87,24 @@ def test_state_fidelity_pure_states(rng):
     overlap = abs(np.vdot(a, b)) ** 2
     sigma = DensityMatrix(np.outer(b, b.conj()))
     assert state_fidelity(rho, sigma) == pytest.approx(overlap, abs=1e-7)
+
+
+def test_state_fidelity_against_a_pure_reference_is_exact(rng):
+    worst = 0.0
+    for _ in range(200):
+        a, b = random_state(rng), random_state(rng)
+        rho = DensityMatrix(np.outer(a, a.conj()))
+        f = state_fidelity(rho, StateVector(b))
+        worst = max(worst, abs(f - abs(np.vdot(b, a)) ** 2))
+    assert worst <= 1e-15
+
+
+def test_state_fidelity_pure_reference_checks_basis_and_dimension(rng):
+    rho = DensityMatrix(random_density(rng))
+    with pytest.raises(BasisMismatchError):
+        state_fidelity(rho, StateVector(random_state(rng), basis="number"))
+    with pytest.raises(ValueError):
+        state_fidelity(rho, StateVector(random_state(rng, dim=2)))
 
 
 def test_state_fidelity_mixed_monotone(rng):

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from spinpair.ion import YB171, mixing_angle
+from spinpair.ion import I1Y, YB171, mixing_angle
 from spinpair.linalg import expm_unitary
 from spinpair.multiion import (GradientDrive, NormalMode, TwoIonSystem,
                                composite_zz, composite_xx_from_zz,
-                               coupling_strength, integrate_spin_motion,
-                               large_field_selectivity,
+                               composite_zz_target, coupling_strength,
+                               integrate_spin_motion, large_field_selectivity,
                                motion_disentanglement_check, ms_composite_xx,
                                ms_interaction, spin_z_total, theta_prime,
-                               transition_rotation, uzz_spin_unitary)
+                               transition_rotation, two_ion_op,
+                               uzz_spin_unitary)
 
 TWO_PI = 2 * np.pi
 
@@ -99,6 +100,68 @@ def test_composite_zz_exact_for_random_draws():
         _, dist = composite_zz(sys)
         worst = max(worst, dist)
     assert worst <= 1e-9
+
+
+def _criterion_3_draws(seed, n):
+    """Random systems in the ranges of criterion 3 and composite-zz."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield TwoIonSystem(
+            mode=NormalMode(omega=TWO_PI * 2e6,
+                            epsilon=float(rng.uniform(0.5e-9, 2e-9))),
+            fock_cutoff=8,
+            drive=GradientDrive(
+                b_grad=float(rng.uniform(1.0, 30.0)),
+                delta=TWO_PI * float(rng.uniform(0.5e3, 5e3)),
+                k1=int(rng.integers(1, 4))))
+
+
+def _dense_composite_zz(sys):
+    """The echo as a product of eight dense factors, each rotation and
+    U_zz built by its own exponential."""
+    def r1y(ion_index, theta):
+        return two_ion_op(expm_unitary(I1Y, theta), ion_index)
+
+    s = spin_z_total(sys)
+    kf = 2 * sys.drive.k1 * np.pi / sys.drive.delta**2
+    uzz = expm_unitary(-kf * (s @ s))
+    seq = [r1y(1, -np.pi), uzz, r1y(0, np.pi) @ r1y(1, np.pi), uzz,
+           r1y(1, -np.pi), uzz, r1y(0, np.pi) @ r1y(1, np.pi), uzz]
+    u = np.eye(16, dtype=complex)
+    for factor in seq:
+        u = factor @ u
+    return u
+
+
+def test_composite_zz_matches_dense_eight_factor_product():
+    for sys in _criterion_3_draws(seed=5, n=20):
+        u, dist = composite_zz(sys)
+        assert np.max(np.abs(u - _dense_composite_zz(sys))) <= 1e-14
+        assert dist <= 1e-14
+
+
+def test_uzz_spin_unitary_matches_exponential_of_s_squared():
+    for sys in _criterion_3_draws(seed=6, n=20):
+        s = spin_z_total(sys)
+        kf = 2 * sys.drive.k1 * np.pi / sys.drive.delta**2
+        assert np.max(np.abs(uzz_spin_unitary(sys)
+                             - expm_unitary(-kf * (s @ s)))) <= 1e-15
+
+
+def test_composite_zz_runs_no_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for sys in _criterion_3_draws(seed=7, n=3):
+        composite_zz(sys)
+        composite_zz_target(sys)
+        uzz_spin_unitary(sys)
+    assert calls == []
 
 
 def test_composite_xx_from_zz_exact():
