@@ -21,18 +21,11 @@ leftmost, U = U_N ... U_2 U_1.
 ``expm_unitary_batch`` per segment.
 
 The lab-frame integration steps H(t) = h0 - sum_t cos(omega_t t + phi_t) g_t
-at midpoints.  A step propagator is an entire function of the scalars
-c_t = cos(...) in [-1, 1], so it is read off a tensor-product Chebyshev
-interpolant in the c_t of each active (non-silent) tone: one
-``expm_unitary_batch`` over the grid nodes, then per step a weighted sum of
-the node propagators.  The degree is the smallest that the Chebyshev
-interpolation bound puts below 2^-60 (see ``_chebyshev_nodes``).  A chunk's
-step propagators sit step-last, (4, 4, steps), and both the node sum and
-the step-by-step 4x4 products are elementwise over the step axis.  The
-step propagators are multiplied pairwise within fixed blocks of
-``_LAB_BLOCK`` steps, and the block products one after another in time
-order.  Blocks are fixed by step index and each step's arithmetic is the
-same in any chunk, so the product does not depend on ``_LAB_CHUNK``.
+at midpoints, one exact exponential per step.  The steps go in chunks of
+``_LAB_CHUNK``: one ``expm_unitary_batch`` over a chunk's midpoint
+Hamiltonians, then the step propagators multiplied in time order.  Each
+step's arithmetic is the same in any chunk, so the product does not depend
+on ``_LAB_CHUNK``.
 
 With exactly one active tone and omega != 0, H(t) has period
 T = 2 pi / |omega|, and by Floquet's theorem the propagator over q T is
@@ -47,9 +40,7 @@ period is the whole duration: one grid of ceil(duration / dt) steps.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -65,14 +56,10 @@ PULSE_SCHEMA_VERSION = 1
 # Number-basis indices of levels |1..4|
 L1, L2, L3, L4 = 0, 1, 2, 3
 
-# Lab-frame steps per batch: a rwa-check case has ~5e5 steps, whose (4, 4)
-# complex propagators alone take 128 MB; a chunk's take 1 MiB.
+# Lab-frame steps per batch of exponentials.  No period shortens a grid of
+# several tones, so a long duration can take millions of steps; a chunk's
+# (4, 4) complex Hamiltonians take 1 MiB.
 _LAB_CHUNK = 4096
-# Lab-frame steps per pairwise-multiplied block, a power of two.  A chunk
-# is a whole number of blocks, so blocks are fixed by step index and the
-# product does not depend on _LAB_CHUNK.
-_LAB_BLOCK = 256
-assert _LAB_CHUNK % _LAB_BLOCK == 0
 
 
 class RegimeWarning(UserWarning):
@@ -241,9 +228,8 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
 
     Midpoint piecewise-constant stepping.  ``dt`` must resolve the fastest
     frequency, the drive strengths ||g_t|| included:
-    dt <= (2 pi / max(omega, splittings, ||g_t||)) / 50.  Step
-    propagators come from the Chebyshev-node interpolant of
-    ``_chebyshev_nodes``.
+    dt <= (2 pi / max(omega, splittings, ||g_t||)) / 50.  Each step
+    propagator is the exact exponential of its midpoint Hamiltonian.
 
     The grid repeats with the drive: for one active tone with omega != 0
     the period P = min(2 pi / |omega|, duration) is stepped once on
@@ -259,10 +245,9 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     gy = p.gamma_n * I1Y + p.gamma_e * I2Y
     gz = p.gamma_n * I1Z + p.gamma_e * I2Z
     drives = [t.bx * gx + t.by * gy + t.bz * gz for t in tones]
-    # silent tones (g = 0) add no axis to the interpolation grid
+    # silent tones (g = 0) add nothing to the step Hamiltonians
     active = [(t, g) for t, g in zip(tones, drives) if np.any(g)]
-    gs = np.array([g for _, g in active]).reshape(len(active), 4, 4)
-    g_norms = [float(np.linalg.norm(g, 2)) for g in gs]
+    g_norms = [float(np.linalg.norm(g, 2)) for _, g in active]
     freqs = [abs(t.omega) for t in tones] + g_norms
     freqs += [abs(x) for x in np.subtract.outer(es.energies, es.energies).ravel()]
     fmax = max(freqs)
@@ -275,102 +260,26 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     if len(active) == 1 and active[0][0].omega:
         period = min(duration, 2 * np.pi / abs(active[0][0].omega))
     q = int(duration // period)
-    u = np.linalg.matrix_power(
-        _lab_product(h0, gs, g_norms, active, period, dt), q)
+    u = np.linalg.matrix_power(_lab_product(h0, active, period, dt), q)
     rest = duration - q * period
     if rest > 0:
-        u = _lab_product(h0, gs, g_norms, active, rest, dt) @ u
+        u = _lab_product(h0, active, rest, dt) @ u
     r = mapping_operator(es.theta0)
     return r.conj().T @ u @ r
 
 
-def _lab_product(h0: np.ndarray, gs: np.ndarray, g_norms, active,
-                 duration: float, dt: float) -> np.ndarray:
+def _lab_product(h0: np.ndarray, active, duration: float,
+                 dt: float) -> np.ndarray:
     """Spin-basis midpoint product over [0, duration) on ceil(duration / dt)
     equal steps, the drive phases starting at each tone's phi."""
     n = max(1, int(np.ceil(duration / dt)))
     step = duration / n
-    k = len(active)
-    x = _chebyshev_nodes([step * g for g in g_norms])
-    # node a of the tensor grid, first active tone slowest
-    grid = np.array(list(itertools.product(x, repeat=k))).reshape(
-        len(x) ** k, k)
-    hs = h0 - np.tensordot(grid, gs, axes=(1, 0))
-    nodes = expm_unitary_batch(hs, step)
     u = np.eye(4, dtype=complex)
-    # every chunk reuses one step-last buffer: a fresh 1 MiB per chunk
-    # either overlaps the previous one or is unmapped and faulted back in
-    buf = np.empty((4, 4, min(n, _LAB_CHUNK)), dtype=complex)
     for start in range(0, n, _LAB_CHUNK):
         tmid = (np.arange(start, min(start + _LAB_CHUNK, n)) + 0.5) * step
-        us = _step_propagators(nodes, x, active, tmid, buf[..., :len(tmid)])
-        # only the last chunk can end in a partial block
-        full = len(tmid) - len(tmid) % _LAB_BLOCK
-        blocks = us[..., :full].reshape(4, 4, -1, _LAB_BLOCK)
-        for ub in _pairwise_product(blocks.transpose(2, 0, 1, 3)):
-            u = ub @ u
-        if full < len(tmid):
-            u = _pairwise_product(us[..., full:]) @ u
+        hs = np.repeat(h0[None], len(tmid), axis=0)
+        for tone, g in active:
+            hs -= np.cos(tone.omega * tmid + tone.phi)[:, None, None] * g
+        for uk in expm_unitary_batch(hs, step):
+            u = uk @ u
     return u
-
-
-def _chebyshev_nodes(bounds) -> np.ndarray:
-    """Chebyshev points of the first kind on [-1, 1] for interpolating a
-    step propagator exp(-i (h0 - sum_t c_t g_t) step) in the scalars c_t.
-
-    ``bounds`` holds B_t = step ||g_t|| per active tone.  The m-th
-    derivative in c_t has norm <= B_t^m, so the degree K is the smallest
-    K >= 1 with 3^(k-1) sum_t B_t^(K+1) / (2^K (K+1)!) <= 2^-60 on the
-    k-dimensional tensor grid; 3 bounds its Lebesgue constant.
-    """
-    k = len(bounds)
-    degree = 1
-    while 3.0 ** (k - 1) * sum(b ** (degree + 1) for b in bounds) > (
-            2.0 ** (degree - 60) * math.factorial(degree + 1)):
-        degree += 1
-    j = np.arange(degree + 1)
-    return np.cos((2 * j + 1) * np.pi / (2 * degree + 2))
-
-
-def _step_propagators(nodes: np.ndarray, x: np.ndarray, active,
-                       t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Step propagators at the midpoints ``t`` into ``out`` (4, 4, len(t)):
-    the node propagators (nodes, 4, 4) summed elementwise with node-major
-    weights (nodes, steps), first active tone slowest.  Row by row, so the
-    temporaries are a quarter of ``out``."""
-    w = np.ones((1, len(t)))
-    for tone, _ in active:
-        lag = _lagrange_weights(x, np.cos(tone.omega * t + tone.phi))
-        w = (w[:, None, :] * lag).reshape(-1, len(t))
-    for i in range(4):
-        np.multiply(nodes[0, i, :, None], w[0], out=out[i])
-        for a in range(1, len(nodes)):
-            out[i] += nodes[a, i, :, None] * w[a]
-    return out
-
-
-def _lagrange_weights(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Lagrange basis polynomials of the nodes ``x`` at the points ``c``,
-    shape (len(x), len(c)), in product form."""
-    w = np.ones((len(x), len(c)))
-    for j, xj in enumerate(x):
-        for i, xi in enumerate(x):
-            if i != j:
-                w[j] *= (c - xi) / (xj - xi)
-    return w
-
-
-def _pairwise_product(us: np.ndarray) -> np.ndarray:
-    """Time-ordered product over the last axis of ``us`` (..., 4, 4, m),
-    latest step leftmost, multiplied pairwise in log2(m) rounds of
-    elementwise 4x4 products."""
-    while us.shape[-1] > 1:
-        k = us.shape[-1] // 2
-        a, b = us[..., 1:2 * k:2], us[..., 0:2 * k:2]
-        paired = a[..., :, 0, None, :] * b[..., None, 0, :, :]
-        for j in range(1, 4):
-            paired += a[..., :, j, None, :] * b[..., None, j, :, :]
-        if us.shape[-1] % 2:
-            paired = np.concatenate([paired, us[..., -1:]], axis=-1)
-        us = paired
-    return us[..., 0]

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, IonParams, YB171,
-                  mapping_operator, mixing_angle)
+from .ion import (I1X, I1Y, I1Z, I2Z, IonParams, YB171, mapping_operator,
+                  mixing_angle)
 from .linalg import (expm_unitary, expm_unitary_batch, kron,
                      phase_min_distance)
 
@@ -206,22 +206,9 @@ def _r1y(ion_index: int, theta: float) -> np.ndarray:
     return two_ion_op(expm_unitary(I1Y, theta), ion_index)
 
 
-def _r2y(ion_index: int, theta: float) -> np.ndarray:
-    return two_ion_op(expm_unitary(I2Y, theta), ion_index)
-
-
 # draw-independent pi rotations of the echo: qubit 1 of ion w, and of both
 _ECHO_W = _r1y(1, -np.pi)
 _ECHO_PW = _r1y(0, np.pi) @ _r1y(1, np.pi)
-
-
-def _composite_coupling(sys: TwoIonSystem) -> tuple[float, complex]:
-    """(g, phase) of the composite targets exp(i g O^p O^w) phase, with
-    g = k_f 8 Om_p Om_w; see composite_zz_target."""
-    kf = _kf(sys)
-    om = [coupling_strength(sys, n) for n in range(2)]
-    theta1 = kf * (om[0]**2 + om[1]**2)
-    return kf * 8 * om[0] * om[1], np.exp(1j * (2 * theta1 + np.pi))
 
 
 def composite_zz_target(sys: TwoIonSystem) -> np.ndarray:
@@ -233,7 +220,11 @@ def composite_zz_target(sys: TwoIonSystem) -> np.ndarray:
     (total 2 theta1) and the paired pi rotations contribute a spinor -1;
     both checked against the explicit product.
     """
-    g, phase = _composite_coupling(sys)
+    kf = _kf(sys)
+    om = [coupling_strength(sys, n) for n in range(2)]
+    theta1 = kf * (om[0]**2 + om[1]**2)
+    g = kf * 8 * om[0] * om[1]
+    phase = np.exp(1j * (2 * theta1 + np.pi))
     return np.diag(np.exp(1j * g * np.outer(_I2Z, _I2Z).ravel()) * phase)
 
 
@@ -252,18 +243,6 @@ def composite_zz(sys: TwoIonSystem) -> tuple[np.ndarray, float]:
         u = uzz * (rot @ u)
     return u, float(np.linalg.norm(u - composite_zz_target(sys))
                     / np.sqrt(16))
-
-
-def composite_xx_from_zz(sys: TwoIonSystem) -> tuple[np.ndarray, float]:
-    """R_y(pi/2)-conjugated variant: electron-electron XX coupling."""
-    uzz_22, _ = composite_zz(sys)
-    left = _r2y(0, np.pi / 2) @ _r2y(1, np.pi / 2)
-    right = _r2y(0, -np.pi / 2) @ _r2y(1, -np.pi / 2)
-    u = left @ uzz_22 @ right
-    g, phase = _composite_coupling(sys)
-    pair = two_ion_op(I2X, 0) @ two_ion_op(I2X, 1)
-    target = expm_unitary(-g * pair) * phase
-    return u, float(np.linalg.norm(u - target) / np.sqrt(16))
 
 
 # --- large-field selectivity -------------------------------------------------

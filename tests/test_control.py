@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unitary
 from spinpair import cli, control
 from spinpair.control import (MicrowaveTone, PulseSequence, RegimeWarning,
                               control_hamiltonian, propagate,
@@ -208,38 +206,24 @@ def test_lab_frame_zero_tones_is_free_evolution():
 
 def test_lab_frame_chunks_give_the_single_batch_product(monkeypatch):
     # a driven tone makes every step different, so a chunk that restarts
-    # the step times or drops a step changes the product
+    # the step times or drops a step changes the product; one tone takes
+    # the period route, two tones one grid over the whole duration
     p = _scaled_ion()
     e = eigensystem(p).energies
-    tones = [MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.0), SILENT, SILENT]
+    driven = [MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.0),
+              MicrowaveTone(0.0, 1.5e-5, 1e-4, e[1] - e[2], 1.1)]
     t, dt = 1.003e-7, 1e-10
     n = int(np.ceil(t / dt))
-    block = control._LAB_BLOCK
-    assert n % block != 0
-    products = []
-    # chunks of 1 and 2 blocks, and one chunk holding every step
-    for blocks in (1, 2, -(-n // block)):
-        monkeypatch.setattr(control, "_LAB_CHUNK", blocks * block)
-        products.append(propagate_lab_frame(tones, p, t, dt))
-    assert all(np.array_equal(u, products[-1]) for u in products)
-    assert not np.allclose(products[-1],
-                           propagate_lab_frame([SILENT], p, t, dt))
-
-
-@pytest.mark.parametrize("m", [1, 2, 7, 259])
-def test_pairwise_product_is_the_time_ordered_product(m):
-    # three blocks of m random unitaries, step-last with the step axis
-    # contiguous; 7 and 259 leave odd tails in some rounds
-    rng = np.random.default_rng(m)
-    steps = [[random_unitary(rng) for _ in range(m)] for _ in range(3)]
-    us = np.ascontiguousarray(np.moveaxis(np.array(steps), 1, -1))
-    got = control._pairwise_product(us)
-    assert got.shape == (3, 4, 4)
-    for block, product in zip(steps, got):
-        u = np.eye(4, dtype=complex)
-        for uk in block:
-            u = uk @ u
-        assert np.max(np.abs(product - u)) < 1e-13
+    assert n > 256
+    for tones in (driven[:1] + [SILENT] * 2, driven + [SILENT]):
+        products = []
+        # single steps, chunks with a partial last one, one for every step
+        for chunk in (1, 7, 256, n):
+            monkeypatch.setattr(control, "_LAB_CHUNK", chunk)
+            products.append(propagate_lab_frame(tones, p, t, dt))
+        assert all(np.array_equal(u, products[-1]) for u in products)
+        assert not np.allclose(products[-1],
+                               propagate_lab_frame([SILENT], p, t, dt))
 
 
 _LAB_FRAME_SCRIPT = """
@@ -257,6 +241,10 @@ for periods in (1.003, 40.5):
     duration = periods * 2 * 3.141592653589793 / tone.omega
     u = propagate_lab_frame([tone, silent, silent], p, duration, 1e-10)
     sys.stdout.write(u.tobytes().hex())
+# two tones have no common period: one grid over the whole duration
+second = MicrowaveTone(0.0, 1.5e-5, 1e-4, e[1] - e[2], 1.1)
+u = propagate_lab_frame([tone, second, silent], p, 3e-7, 1e-10)
+sys.stdout.write(u.tobytes().hex())
 """
 
 
@@ -272,7 +260,7 @@ def test_lab_frame_does_not_depend_on_blas_threads():
                              env=env, capture_output=True, text=True,
                              timeout=120, check=True)
         out.append(run.stdout)
-    assert len(out[0]) == 2 * 2 * 16 * 16
+    assert len(out[0]) == 3 * 2 * 16 * 16
     assert out[0] == out[1]
 
 
@@ -296,38 +284,21 @@ def _number_basis(p, u):
     return r.conj().T @ u @ r
 
 
-def test_lab_frame_pairwise_product_matches_sequential_product():
-    # 1.004 periods: the period's 1,000 steps are three full blocks and a
-    # partial one, then 4 remainder steps
-    p = _scaled_ion()
-    es = eigensystem(p)
-    tone = MicrowaveTone(1e-4, 0.0, 0.0, es.energies[0] - es.energies[2],
-                         0.3)
-    t, dt = 1.003e-7, 1e-10
-    period = TWO_PI / abs(tone.omega)
-    m = int(np.ceil(period / dt))
-    assert m % control._LAB_BLOCK != 0 and m > control._LAB_BLOCK
-    assert t // period == 1
-    u = _midpoint_loop(p, [tone], 0.0, period, dt)
-    u = _midpoint_loop(p, [tone], period, t - period, dt) @ u
-    sequential = _number_basis(p, u)
-    pairwise = propagate_lab_frame([tone, SILENT, SILENT], p, t, dt)
-    assert np.max(np.abs(pairwise - sequential)) < 1e-11
-
-
-def test_lab_frame_many_periods_match_a_sequential_loop():
-    # 40 periods stepped one by one at absolute times, then half a period;
-    # the drive is complex and dephased
+@pytest.mark.parametrize("periods, dt", [(1.003, 1e-10), (40.5, 1e-9)])
+def test_lab_frame_periods_match_a_sequential_loop(periods, dt):
+    # every period stepped one by one at absolute times, then the
+    # remainder; the drive is complex and dephased
     p = _scaled_ion()
     e = eigensystem(p).energies
     tone = MicrowaveTone(5e-5, 2.5e-5, 0.0, e[0] - e[2], 0.7)
     period = TWO_PI / abs(tone.omega)
-    t, dt = 40.5 * period, 1e-9
-    assert t // period == 40
+    t = periods * period
+    q = int(t // period)
+    assert q == int(periods)
     u = np.eye(4, dtype=complex)
-    for q in range(40):
-        u = _midpoint_loop(p, [tone], q * period, period, dt) @ u
-    u = _midpoint_loop(p, [tone], 40 * period, t - 40 * period, dt) @ u
+    for k in range(q):
+        u = _midpoint_loop(p, [tone], k * period, period, dt) @ u
+    u = _midpoint_loop(p, [tone], q * period, t - q * period, dt) @ u
     got = propagate_lab_frame([tone, SILENT, SILENT], p, t, dt)
     assert np.max(np.abs(got - _number_basis(p, u))) < 1e-11
 
@@ -342,39 +313,10 @@ def test_lab_frame_static_tone_is_one_exponential():
     assert np.max(np.abs(got - _number_basis(p, expm_unitary(h, t)))) < 1e-10
 
 
-def _uniform_grid(tones, p, duration, dt):
-    """The whole duration on one grid of ceil(duration / dt) steps: the
-    integration before the period route, built from the same parts."""
-    active = [(t, _drive(p, t)) for t in tones if np.any(_drive(p, t))]
-    gs = np.array([g for _, g in active]).reshape(len(active), 4, 4)
-    n = max(1, int(np.ceil(duration / dt)))
-    step = duration / n
-    x = control._chebyshev_nodes(
-        [step * float(np.linalg.norm(g, 2)) for g in gs])
-    grid = np.array(list(itertools.product(x, repeat=len(active)))).reshape(
-        len(x) ** len(active), len(active))
-    nodes = control.expm_unitary_batch(
-        free_hamiltonian(p) - np.tensordot(grid, gs, axes=(1, 0)), step)
-    u = np.eye(4, dtype=complex)
-    buf = np.empty((4, 4, min(n, control._LAB_CHUNK)), dtype=complex)
-    block = control._LAB_BLOCK
-    for start in range(0, n, control._LAB_CHUNK):
-        tmid = (np.arange(start, min(start + control._LAB_CHUNK, n))
-                + 0.5) * step
-        us = control._step_propagators(nodes, x, active, tmid,
-                                       buf[..., :len(tmid)])
-        full = len(tmid) - len(tmid) % block
-        blocks = us[..., :full].reshape(4, 4, -1, block)
-        for ub in control._pairwise_product(blocks.transpose(2, 0, 1, 3)):
-            u = ub @ u
-        if full < len(tmid):
-            u = control._pairwise_product(us[..., full:]) @ u
-    return _number_basis(p, u)
-
-
 @pytest.mark.parametrize("case", ["no_tone", "static", "two_tones",
                                   "shorter_than_a_period"])
-def test_lab_frame_without_a_repeated_period_keeps_one_grid(case):
+def test_lab_frame_without_a_repeated_period_keeps_one_grid(monkeypatch,
+                                                            case):
     p = _scaled_ion()
     e = eigensystem(p).energies
     driven = MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.3)
@@ -387,27 +329,39 @@ def test_lab_frame_without_a_repeated_period_keeps_one_grid(case):
                                              1.1), SILENT], 3e-7),
         "shorter_than_a_period": ([SILENT, driven, SILENT], 5e-8),
     }[case]
-    assert np.array_equal(propagate_lab_frame(tones, p, t, 1e-10),
-                          _uniform_grid(tones, p, t, 1e-10))
+    calls = []
+    lab_product = control._lab_product
+
+    def recording(h0, active, duration, dt):
+        calls.append(duration)
+        return lab_product(h0, active, duration, dt)
+    monkeypatch.setattr(control, "_lab_product", recording)
+    got = propagate_lab_frame(tones, p, t, 1e-10)
+    assert calls == [t]
+    want = _number_basis(p, _midpoint_loop(p, tones, 0.0, t, 1e-10))
+    assert np.max(np.abs(got - want)) < 1e-11
 
 
 def test_rwa_check_steps_one_period_per_case(monkeypatch, tmp_path):
     # each case spans 5,000 to 10,007 periods; stepping them one by one
     # formed 600,401 step propagators per case
     steps, cases = [], []
-    step_propagators = control._step_propagators
+    batch = control.expm_unitary_batch
     lab_frame = cli.propagate_lab_frame
 
-    def counting(nodes, x, active, t, out):
-        steps[-1] += len(t)
-        return step_propagators(nodes, x, active, t, out)
+    def counting(hs, t):
+        # the RWA pulse goes through here too: count only inside the
+        # lab-frame call, which opens a step count and then records a case
+        if len(steps) > len(cases):
+            steps[-1] += len(hs)
+        return batch(hs, t)
 
     def recording(tones, p, duration, dt):
         steps.append(0)
         u = lab_frame(tones, p, duration, dt)
         cases.append((tones, duration, dt, u))
         return u
-    monkeypatch.setattr(control, "_step_propagators", counting)
+    monkeypatch.setattr(control, "expm_unitary_batch", counting)
     monkeypatch.setattr(cli, "propagate_lab_frame", recording)
     assert cli.main(["--out", str(tmp_path), "rwa-check"]) == cli.EXIT_OK
     assert len(cases) == 3
@@ -450,21 +404,12 @@ def _drive(p, tone):
         p.gamma_n * I1Z + p.gamma_e * I2Z)
 
 
-def _degree(bounds):
-    """Smallest K >= 1 with 3^(k-1) sum_t B_t^(K+1) / (2^K (K+1)!) <= 2^-60."""
-    k = 1
-    while (3 ** (len(bounds) - 1) * sum(b ** (k + 1) for b in bounds)
-           / (2 ** k * math.factorial(k + 1)) > 2.0 ** -60):
-        k += 1
-    return k
-
-
-def _record_node_counts(monkeypatch):
+def _record_step_counts(monkeypatch):
     counts = []
     batch = control.expm_unitary_batch
 
     def recording(hs, t):
-        counts.append(np.shape(hs)[0])
+        counts.append(len(hs))
         return batch(hs, t)
     monkeypatch.setattr(control, "expm_unitary_batch", recording)
     return counts
@@ -476,7 +421,6 @@ def test_lab_frame_multi_tone_grid_matches_sequential_product(monkeypatch,
     # by != 0 makes the drive complex; each tone has its own phase
     p = _scaled_ion()
     e = eigensystem(p).energies
-    # at these drives the tensor-grid factor 3^(k-1) raises K from 4 to 5
     tones = [MicrowaveTone(5e-5, 2.5e-5, 0.0, e[0] - e[2], 0.3),
              MicrowaveTone(0.0, 1.5e-5, 1e-4, e[1] - e[2], 1.1),
              MicrowaveTone(3.5e-5, -2e-5, 0.0, e[3] - e[2], -0.8)]
@@ -492,35 +436,26 @@ def test_lab_frame_multi_tone_grid_matches_sequential_product(monkeypatch,
         u = expm_unitary(h, step) @ u
     r = mapping_operator(eigensystem(p).theta0)
     sequential = r.conj().T @ u @ r
-    counts = _record_node_counts(monkeypatch)
-    interpolated = propagate_lab_frame(tones, p, t, dt)
-    assert np.max(np.abs(interpolated - sequential)) < 1e-11
-    bounds = [step * np.linalg.norm(_drive(p, tone), 2)
-              for tone in tones[:active]]
-    assert counts == [(_degree(bounds) + 1) ** active]
+    counts = _record_step_counts(monkeypatch)
+    got = propagate_lab_frame(tones, p, t, dt)
+    assert np.max(np.abs(got - sequential)) < 1e-11
+    # one grid over the whole duration, one exponential per step
+    assert counts == [n]
 
 
 def test_lab_frame_silent_tones_add_no_grid_axis(monkeypatch):
     p = _scaled_ion()
     e = eigensystem(p).energies
     tone = MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.0)
-    t, dt = 1e-8, 1e-10
-    counts = _record_node_counts(monkeypatch)
-    propagate_lab_frame([SILENT, tone, SILENT], p, t, dt)
-    degree = _degree([t / 100 * np.linalg.norm(_drive(p, tone), 2)])
-    assert degree > 1
-    assert counts == [degree + 1]
+    dt = 1e-10
     # over 2.5 periods: one call for the period grid, one for the
-    # remainder's, each with K + 1 nodes for its own step
+    # remainder's, as for the tone alone
     period = TWO_PI / abs(tone.omega)
     t = 2.5 * period
-    counts.clear()
+    counts = _record_step_counts(monkeypatch)
     propagate_lab_frame([SILENT, tone, SILENT], p, t, dt)
-    own_steps = [period / math.ceil(period / dt),
-                 (t - 2 * period) / math.ceil((t - 2 * period) / dt)]
-    assert counts == [
-        _degree([h * np.linalg.norm(_drive(p, tone), 2)]) + 1
-        for h in own_steps]
+    assert counts == [math.ceil(period / dt),
+                      math.ceil((t - 2 * period) / dt)]
     counts.clear()
     propagate_lab_frame([SILENT, SILENT, SILENT], p, t, dt)
-    assert counts == [1]
+    assert counts == [math.ceil(t / dt)]

@@ -4,9 +4,9 @@ import pytest
 from spinpair.ion import I1Y, YB171, mixing_angle
 from spinpair.linalg import expm_unitary
 from spinpair.multiion import (GradientDrive, NormalMode, TwoIonSystem,
-                               composite_zz, composite_xx_from_zz,
-                               composite_zz_target, coupling_strength,
-                               integrate_spin_motion, large_field_selectivity,
+                               composite_zz, composite_zz_target,
+                               coupling_strength, integrate_spin_motion,
+                               large_field_selectivity,
                                motion_disentanglement_check, ms_composite_xx,
                                ms_interaction, spin_z_total, theta_prime,
                                transition_rotation, two_ion_op,
@@ -162,12 +162,6 @@ def test_composite_zz_runs_no_eigh(monkeypatch):
         composite_zz_target(sys)
         uzz_spin_unitary(sys)
     assert calls == []
-
-
-def test_composite_xx_from_zz_exact():
-    sys = _small_system()
-    _, dist = composite_xx_from_zz(sys)
-    assert dist <= 1e-9
 
 
 def test_ms_interaction_period():
