@@ -1,10 +1,11 @@
 """Circuit-level composition and the two-qubit Grover search.
 
-Circuits are lists of gates acting on the two spin qubits.  They can be
-evaluated with ideal matrices, with synthesized pulse sequences simulated
-in the number basis, or with pulses plus quasi-static dephasing noise.
-``gate_channel`` is the one place that maps a gate and a mode to its
-number-basis channel; the circuit runner and the CLI both use it.
+Circuits are lists of gates acting on the two spin qubits.  Each gate
+runs in one of ``MODES``: its ideal matrix, its synthesized pulse
+sequence simulated in the number basis, or the pulse under quasi-static
+dephasing noise.  ``gate_channel`` is the one place that maps a gate and
+a mode to its number-basis channel; ``run_circuit`` composes the channels
+it is given, one per gate name.
 """
 
 from __future__ import annotations
@@ -19,11 +20,7 @@ from .ion import IonParams, YB171, eigensystem
 from .linalg import DensityMatrix, StateVector
 from .tomography import NoiseModel, NoisyChannel, apply_noise
 
-_MODES = ("ideal", "pulsed", "pulsed+noise")
-
-
-class MissingPulseError(KeyError):
-    """A pulsed-mode run lacks a pulse sequence for some circuit op."""
+MODES = ("ideal", "pulsed", "pulsed+noise")
 
 
 @dataclass
@@ -31,7 +28,7 @@ class Circuit:
     """Ordered gate list applied to an initial spin-basis state.
 
     ``ops`` entries are GateTargets: ideal 4x4 spin-basis unitaries,
-    resolved to pulse sequences by name in the pulsed modes.
+    resolved to channels by name when the circuit runs.
     """
 
     ops: list
@@ -57,63 +54,36 @@ def gate_channel(gate: GateTarget | PulseSequence, mode: str,
     gives the pulse's propagator, "pulsed+noise" the shot unitaries of
     ``apply_noise``.  ``unitaries`` is (n_shots, 4, 4), one shot if noiseless.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "ideal":
         return NoisyChannel(target_in_number_basis(gate, ion)[None])
     if mode == "pulsed":
         return NoisyChannel(propagate(gate)[None])
+    if noise is None:
+        raise ValueError("pulsed+noise mode requires a NoiseModel")
     return apply_noise(gate, noise)
 
 
-def circuit_shots(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
-                  noise: NoiseModel | None = None,
-                  ion: IonParams = YB171) -> np.ndarray:
+def run_circuit(c: Circuit, channels: dict,
+                ion: IonParams = YB171) -> np.ndarray:
     """Final spin-basis density matrices of the circuit, one per shot.
 
-    Shape (n_shots, 4, 4).  Modes "ideal" and "pulsed" have one shot.  In
-    "pulsed+noise" shot k applies the k-th level shift of ``noise`` to the
-    whole circuit: every op's channel draws its shifts from the same
-    ``noise.rng_seed``, so shot k of each op carries the same shift, and
-    the shot's circuit unitary is the product of those op unitaries.
+    ``channels`` maps each op's name to its number-basis NoisyChannel
+    (``gate_channel``).  Shape (n_shots, 4, 4), one shot if the channels
+    are noiseless.  Shot k applies shot k of every op's channel: in
+    "pulsed+noise" every channel draws its shifts from the same
+    ``noise.rng_seed``, so shot k holds one level shift across the whole
+    circuit.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     psi0 = c.initial_state.amplitudes
-
-    if mode == "ideal":
-        u = np.eye(4, dtype=complex)
-        for op in c.ops:
-            u = op.matrix @ u
-        psi = u @ psi0
-        return np.outer(psi, psi.conj())[None]
-
-    if mode == "pulsed+noise" and noise is None:
-        raise ValueError("pulsed+noise mode requires a NoiseModel")
     r = eigensystem(ion).eigenvectors
     rho_n = r.conj().T @ np.outer(psi0, psi0.conj()) @ r
     us = np.eye(4, dtype=complex)[None]
     for op in c.ops:
-        if op.name not in (pulses or {}):
-            raise MissingPulseError(f"no pulse sequence for gate {op.name!r}")
-        channel = gate_channel(pulses[op.name], mode, noise, ion)
-        us = channel.unitaries @ us
+        us = channels[op.name].unitaries @ us
     rho = us @ rho_n @ us.conj().transpose(0, 2, 1)
     return r @ rho @ r.conj().T
-
-
-def run_circuit(c: Circuit, mode: str = "ideal", pulses: dict | None = None,
-                noise: NoiseModel | None = None,
-                ion: IonParams = YB171) -> DensityMatrix:
-    """Apply the circuit and return the final spin-basis density matrix.
-
-    mode "ideal" multiplies the GateTarget matrices; "pulsed" simulates
-    each op's pulse sequence in the number basis and maps the result back
-    to the spin basis through R; "pulsed+noise" draws one quasi-static
-    level shift per shot from ``noise``, holds it across the whole
-    circuit, and averages the final state over the shots (see
-    ``circuit_shots``).
-    """
-    shots = circuit_shots(c, mode, pulses, noise, ion)
-    return DensityMatrix(shots.mean(axis=0), basis="spin")
 
 
 def oracle_gate(marked: int) -> GateTarget:

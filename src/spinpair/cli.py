@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import (circuit_shots, gate_channel, grover_circuit,
-                       oracle_gate, success_rate)
+from .circuits import (MODES, gate_channel, grover_circuit, oracle_gate,
+                       run_circuit, success_rate)
 from .control import (MicrowaveTone, PulseSequence, propagate,
                       propagate_lab_frame, rwa_coefficients)
 from .grape import (ALL_GATES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
@@ -363,11 +363,9 @@ def cmd_grover(cfg: RunConfig, args) -> int:
     out = cfg.output_dir
     stem = f"grover_{args.marked}_{args.mode.replace('+', '_')}"
 
-    pulses = {}
-    if args.mode != "ideal":
-        for name in dict.fromkeys(op.name for op in circuit.ops):
-            pulses[name], _ = ensure_pulse(cfg, name)
-    shots = circuit_shots(circuit, args.mode, pulses, cfg.noise, cfg.ion)
+    channels = {name: _gate_channel(cfg, name, args.mode)
+                for name in dict.fromkeys(op.name for op in circuit.ops)}
+    shots = run_circuit(circuit, channels, cfg.ion)
     final = DensityMatrix(shots.mean(axis=0), basis="spin")
     rate = success_rate(final, args.marked)
     report["success_rate"] = rate
@@ -569,8 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("qst", cmd_qst), ("qpt", cmd_qpt)):
         p = sub.add_parser(name, help=f"{name.upper()} simulation")
         p.add_argument("gate")
-        p.add_argument("--mode", default="ideal",
-                       choices=["ideal", "pulsed", "pulsed+noise"])
+        p.add_argument("--mode", default="ideal", choices=MODES)
         p.add_argument("--shots", type=int, default=0,
                        help="0 = exact expectation values")
         p.set_defaults(func=func)
@@ -578,8 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grover", help="two-qubit Grover search")
     p.add_argument("--marked", type=int, default=2,
                    help="marked spin state, 1-based in (uu, ud, du, dd)")
-    p.add_argument("--mode", default="ideal",
-                   choices=["ideal", "pulsed", "pulsed+noise"])
+    p.add_argument("--mode", default="ideal", choices=MODES)
     p.set_defaults(func=cmd_grover)
 
     p = sub.add_parser("multiion-verify",

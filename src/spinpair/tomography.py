@@ -56,15 +56,6 @@ class NoiseModel:
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
-    @classmethod
-    def from_coherence_times(cls, t2_13: float, t2_23: float, t2_43: float,
-                             n_samples: int = 200,
-                             rng_seed: int = 0) -> "NoiseModel":
-        return cls(sigma1=calibrate_sigma(t2_13),
-                   sigma2=calibrate_sigma(t2_23),
-                   sigma4=calibrate_sigma(t2_43),
-                   n_samples=n_samples, rng_seed=rng_seed)
-
 
 def calibrate_sigma(t2star: float) -> float:
     """sigma such that the quasi-static Ramsey envelope exp(-sigma^2 t^2/2)
@@ -85,8 +76,8 @@ def noise_model(name: str, n_samples: int = 200,
                 rng_seed: int = 0) -> NoiseModel:
     """The noise model of the T2* table ``T2STAR[name]``."""
     t = T2STAR[name]
-    return NoiseModel.from_coherence_times(t["13"], t["23"], t["43"],
-                                           n_samples, rng_seed)
+    return NoiseModel(*(calibrate_sigma(t[k]) for k in ("13", "23", "43")),
+                      n_samples, rng_seed)
 
 
 def measure_p3(state: DensityMatrix, shots: int = 0, rng=None) -> float:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from spinpair.circuits import gate_channel, run_circuit
 from spinpair.control import PulseSequence
 from spinpair.grape import (ALL_GATES, GrapeConfig, objective, standard_gate,
                             synthesize)
+from spinpair.linalg import DensityMatrix
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +27,18 @@ def hadamard_300us():
     """A deliberately slow Hadamard pulse for noise-sensitivity studies."""
     cfg = GrapeConfig(total_time=300e-6)
     return synthesize(standard_gate("hadamard1"), cfg)
+
+
+def final_state(circuit, mode="ideal", pulses=None, noise=None):
+    """Shot-mean final spin-basis state of ``circuit``.  Each distinct op
+    gets its channel from ``gate_channel``: its GateTarget in mode "ideal",
+    ``pulses[op.name]`` in the pulsed modes."""
+    ops = {op.name: op for op in circuit.ops}
+    channels = {name: gate_channel(op if mode == "ideal" else pulses[name],
+                                   mode, noise)
+                for name, op in ops.items()}
+    return DensityMatrix(run_circuit(circuit, channels).mean(axis=0),
+                         basis="spin")
 
 
 @pytest.fixture()

@@ -8,9 +8,9 @@ captured output on failure.
 import numpy as np
 import pytest
 
-from conftest import fd_gradient, random_density
+from conftest import fd_gradient, final_state, random_density
 from spinpair.cli import main as cli_main, read_versioned_json
-from spinpair.circuits import grover_circuit, run_circuit, success_rate
+from spinpair.circuits import grover_circuit, success_rate
 from spinpair.control import PulseSequence, propagate
 from spinpair.grape import (ALL_GATES, gradient, standard_gate,
                             target_in_number_basis)
@@ -39,13 +39,13 @@ def test_criterion_01_gate_synthesis_fidelity(all_gate_pulses):
 
 def test_criterion_02_grover_search(all_gate_pulses):
     for marked in (1, 2, 3, 4):
-        final = run_circuit(grover_circuit(marked), mode="ideal")
+        final = final_state(grover_circuit(marked), "ideal")
         p = success_rate(final, marked)
         print(f"  ideal marked={marked}: success {p:.12f}")
         assert p == pytest.approx(1.0, abs=1e-9)
     pulses = {k: v.sequence for k, v in all_gate_pulses.items()}
     pulses["oracle2"] = pulses["cphase"]
-    final = run_circuit(grover_circuit(2), mode="pulsed", pulses=pulses)
+    final = final_state(grover_circuit(2), "pulsed", pulses)
     p = success_rate(final, 2)
     print(f"criterion 2: pulsed success rate {p:.6f} (threshold 0.99)")
     assert p >= 0.99

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from spinpair.circuits import MODES
 from spinpair.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
 
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
@@ -31,7 +32,6 @@ SMALL = {"seed": 1, "grape": {"n_segments": 4, "max_iters": 30,
          "noise": {"n_samples": 2}}
 DETUNINGS = {**SMALL, "grape": {**SMALL["grape"],
                                 "optimize_detunings": True}}
-MODES = ("ideal", "pulsed", "pulsed+noise")
 
 # (config, argv); the detuning run synthesizes with the eigh kernel
 COMMANDS = (

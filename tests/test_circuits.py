@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from spinpair.circuits import (Circuit, MissingPulseError, grover_circuit,
-                               oracle_gate, run_circuit, success_rate)
-from spinpair.control import propagate
+from conftest import final_state
+from spinpair.circuits import (Circuit, gate_channel, grover_circuit,
+                               oracle_gate, success_rate)
+from spinpair.control import PulseSequence, propagate
 from spinpair.grape import standard_gate
 from spinpair.ion import YB171, change_basis, eigensystem
 from spinpair.linalg import DensityMatrix, StateVector
@@ -13,7 +14,7 @@ from spinpair.tomography import noise_model
 
 
 def test_empty_circuit_is_identity():
-    rho = run_circuit(Circuit(ops=[]))
+    rho = final_state(Circuit(ops=[]))
     want = np.zeros((4, 4))
     want[0, 0] = 1.0
     assert np.allclose(rho.entries, want, atol=1e-12)
@@ -23,7 +24,7 @@ def test_empty_circuit_is_identity():
 def test_double_hadamard_restores_input():
     h1 = standard_gate("hadamard1")
     psi0 = StateVector(np.array([0, 0, 1, 0], dtype=complex), basis="spin")
-    rho = run_circuit(Circuit(ops=[h1, h1], initial_state=psi0))
+    rho = final_state(Circuit(ops=[h1, h1], initial_state=psi0))
     assert rho.entries[2, 2].real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -39,7 +40,7 @@ def test_oracle_gate_matrices():
 
 def test_ideal_grover_is_exact_for_all_marked_states():
     for marked in (1, 2, 3, 4):
-        final = run_circuit(grover_circuit(marked), mode="ideal")
+        final = final_state(grover_circuit(marked), "ideal")
         assert success_rate(final, marked) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -54,14 +55,13 @@ def test_success_rate_trivials():
         success_rate(mixed, 5)
 
 
-def test_mode_validation():
-    c = grover_circuit(1)
-    with pytest.raises(ValueError):
-        run_circuit(c, mode="approximate")
-    with pytest.raises(MissingPulseError):
-        run_circuit(c, mode="pulsed", pulses={})
-    with pytest.raises(ValueError):
-        run_circuit(c, mode="pulsed+noise", pulses={})
+def test_gate_channel_rejects_unknown_mode_and_missing_noise():
+    h1 = standard_gate("hadamard1")
+    with pytest.raises(ValueError, match="unknown mode"):
+        gate_channel(h1, "approximate")
+    idle = PulseSequence(np.full(4, 1e-5), np.zeros((4, 3)), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="requires a NoiseModel"):
+        gate_channel(idle, "pulsed+noise")
 
 
 def test_initial_state_must_be_spin_basis():
@@ -78,12 +78,12 @@ def test_pulsed_matches_ideal_through_change_basis(all_gate_pulses):
     h1 = standard_gate("hadamard1")
     c = Circuit(ops=[h1])
     pulses = {k: v.sequence for k, v in all_gate_pulses.items()}
-    rho_spin = run_circuit(c, mode="pulsed", pulses=pulses)
+    rho_spin = final_state(c, "pulsed", pulses)
     r = eigensystem(YB171).eigenvectors
     rho_number = change_basis(rho_spin, r, "spin_to_number")
     back = change_basis(rho_number, r, "number_to_spin")
     assert np.allclose(back.entries, rho_spin.entries, atol=1e-12)
-    ideal = run_circuit(c, mode="ideal")
+    ideal = final_state(c, "ideal")
     assert np.allclose(rho_spin.entries, ideal.entries, atol=5e-2)
 
 
@@ -92,7 +92,7 @@ def test_pulsed_grover_beats_99_percent(all_gate_pulses):
     # oracle2 is exactly the controlled-phase gate, so the marked = 2
     # search can reuse the cphase pulse verbatim
     pulses["oracle2"] = pulses["cphase"]
-    final = run_circuit(grover_circuit(2), mode="pulsed", pulses=pulses)
+    final = final_state(grover_circuit(2), "pulsed", pulses)
     assert success_rate(final, 2) >= 0.99
 
 
@@ -100,8 +100,7 @@ def test_pulsed_noise_mode_runs(all_gate_pulses):
     pulses = {k: v.sequence for k, v in all_gate_pulses.items()}
     pulses["oracle2"] = pulses["cphase"]
     noise = noise_model("triggered", n_samples=8, rng_seed=3)
-    final = run_circuit(grover_circuit(2), mode="pulsed+noise",
-                        pulses=pulses, noise=noise)
+    final = final_state(grover_circuit(2), "pulsed+noise", pulses, noise)
     assert final.basis == "spin"
     assert np.trace(final.entries).real == pytest.approx(1.0, abs=1e-9)
     assert success_rate(final, 2) >= 0.95

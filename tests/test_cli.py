@@ -16,6 +16,8 @@ from spinpair.cli import (EXIT_BAD_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                           pulse_path, read_versioned_json, write_json)
 from spinpair.control import PulseSequence
 from spinpair.grape import SYNTHESIS_VERSION
+from spinpair.tomography import apply_noise
+from test_artifact_digests import SMALL as DIGEST_SMALL
 
 # a few GRAPE iterations on a coarse pulse: enough to run every mode
 SMALL = {"grape": {"n_segments": 4, "max_iters": 20, "n_restarts": 1},
@@ -329,6 +331,21 @@ def test_grover_noisy_rate_inside_its_ci(small_run, n_samples):
     assert lo <= report["success_rate"] <= hi
     if n_samples == 1:
         assert lo == hi == report["success_rate"]
+
+
+def test_grover_builds_one_channel_per_distinct_gate(tmp_path, monkeypatch):
+    # the circuit has 8 ops but 4 distinct gates; each gate's shots are
+    # drawn once and reused wherever the gate recurs
+    calls = []
+
+    def counted(seq, noise):
+        calls.append(seq)
+        return apply_noise(seq, noise)
+    monkeypatch.setattr("spinpair.circuits.apply_noise", counted)
+    code, _ = run_cli(tmp_path, "grover", "--marked", "1", "--mode",
+                      "pulsed+noise", config=DIGEST_SMALL)
+    assert code == EXIT_OK
+    assert len(calls) == 4
 
 
 def test_grover_has_no_shots_flag(tmp_path):
