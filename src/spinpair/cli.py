@@ -16,6 +16,7 @@ import argparse
 import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -549,6 +550,7 @@ def cmd_rwa_check(cfg: RunConfig, args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinpair",

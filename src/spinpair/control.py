@@ -18,7 +18,15 @@ leftmost, U = U_N ... U_2 U_1.
 
 ``propagate`` and ``segment_unitaries`` batch over the leading axes of
 ``extra_diag``: quasi-static noise passes all its shots at once, one
-``expm_unitary_batch`` per segment.
+exponential per segment.  Every segment Hamiltonian couples |3> only to
+the other three levels (a star graph), so a diagonal phase makes it real:
+H = Phi R Phi^dag with Phi = diag(phi), phi_j = conj(c_j) / |c_j| on
+levels 1, 2, 4 (1 where c_j = 0) and phi_3 = 1, and R real symmetric:
+|c_j| in row and column 3, and the real diagonal of H.  A noise shift is
+real and diagonal, so it commutes with Phi and adds to R.  Then
+U = Phi exp(-i R t) Phi^dag, and ``linalg.expm_symmetric`` takes
+exp(-i R t) in real arithmetic, with no eigendecomposition.  The lab
+frame is not star-shaped and keeps ``expm_unitary_batch``.
 
 The lab-frame integration steps H(t) = h0 - sum_t cos(omega_t t + phi_t) g_t
 at midpoints, one exact exponential per step.  The steps go in chunks of
@@ -49,7 +57,7 @@ import numpy as np
 
 from .ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, IonParams, eigensystem,
                   free_hamiltonian, mapping_operator)
-from .linalg import expm_unitary_batch
+from .linalg import assert_hermitian, expm_symmetric, expm_unitary_batch
 
 PULSE_SCHEMA_VERSION = 1
 
@@ -87,7 +95,11 @@ class PulseSequence:
         if (self.durations.shape != (n,) or self.amps.shape != (n, 3)
                 or self.dets.shape != (n, 3)):
             raise ValueError("expected durations (n,), amps and dets (n, 3)")
-        # pulse files come from disk: reject non-positive durations here
+        # pulse files come from disk: reject bad values here
+        if not (np.isfinite(self.durations).all()
+                and np.isfinite(self.amps).all()
+                and np.isfinite(self.dets).all()):
+            raise ValueError("non-finite segment value")
         if np.any(self.durations <= 0):
             raise ValueError("segment duration must be positive")
 
@@ -153,14 +165,25 @@ def segment_unitaries(seq: PulseSequence,
     noise shot for instance, become the leading axes of each propagator.
     With a shift the propagators are computed lazily, one segment at a
     time, so that a product over them holds one batch at once.
+
+    Each propagator is Phi exp(-i R t) Phi^dag in the real gauge of the
+    module docstring.
     """
     hs = control_hamiltonian(seq)
+    assert_hermitian(hs)
+    col = hs[..., L3]  # conj(c_j) on levels 1, 2, 4 and 0 on level 3
+    mag = np.abs(col)
+    phi = np.divide(col, mag, out=np.ones_like(col), where=mag > 0)
+    phases = phi[:, :, None] * phi.conj()[:, None, :]
+    diag = np.arange(4)
+    r = np.abs(hs)
+    r[:, diag, diag] = hs.real[:, diag, diag]
     if extra_diag is None:
-        return iter(expm_unitary_batch(hs, seq.durations))
-    shift = np.zeros(np.shape(extra_diag) + (4,), dtype=complex)
-    shift[..., range(4), range(4)] = extra_diag
-    return (expm_unitary_batch(h + shift, t)
-            for h, t in zip(hs, seq.durations))
+        return iter(phases * expm_symmetric(r * seq.durations[:, None, None]))
+    shift = np.zeros(np.shape(extra_diag) + (4,))
+    shift[..., diag, diag] = extra_diag
+    return (p * expm_symmetric((rk + shift) * t)
+            for p, rk, t in zip(phases, r, seq.durations))
 
 
 def propagate(seq: PulseSequence,

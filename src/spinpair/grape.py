@@ -40,8 +40,8 @@ Two kernels give the segment propagators and their derivatives:
   detuning partial is read off D by indexing.
 
 The branch is chosen from the data and the partials asked for; it has no
-option.  ``control.propagate`` keeps the eigendecomposition for every
-sequence.
+option.  ``control.propagate`` takes its own exponentials (real gauge, no
+eigendecomposition) for every sequence.
 
 Gate targets are defined in the spin basis; propagation lives in the
 number basis, so targets are conjugated with the mapping operator before

@@ -1,13 +1,17 @@
 """Dense complex linear algebra primitives and fidelity metrics.
 
 All Hamiltonians are carried in angular-frequency units (rad/s) with
-hbar = 1.  Matrix exponentials of Hamiltonians go through a Hermitian
-eigendecomposition, so the returned propagators are unitary up to
-eigensolver error.
+hbar = 1.  ``expm_unitary`` and ``expm_unitary_batch`` exponentiate any
+Hermitian matrix through its eigendecomposition, so their propagators are
+unitary up to eigensolver error; the lab frame and the spin-motion blocks
+use them.  ``expm_symmetric`` exponentiates real symmetric matrices by
+scaling, a Taylor sum and squaring in real arithmetic only: the rotating-
+frame segments, brought to real form by a diagonal gauge, go through it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,6 +120,57 @@ def expm_unitary_batch(hs: np.ndarray, t) -> np.ndarray:
     vp = v * phases[..., None, :]
     # conjugate in place: one stack-sized temporary fewer at the peak
     return vp @ np.conj(v, out=v).swapaxes(-1, -2)
+
+
+# 1/k! for the Taylor terms of cos and sin through x^19: cos takes the
+# even k and sin the odd k, each with the sign (-1)^(k // 2)
+_COS_COEFFS = [(-1) ** m / math.factorial(2 * m) for m in range(10)]
+_SIN_COEFFS = [(-1) ** m / math.factorial(2 * m + 1) for m in range(10)]
+
+
+def _series(a, y, y2, y3):
+    """sum_m a[m] y^m for m < 10, Paterson-Stockmeyer in y^3."""
+    eye = np.eye(y.shape[-1])
+    b0, b1, b2 = (a[k] * eye + a[k + 1] * y + a[k + 2] * y2
+                  for k in (0, 3, 6))
+    return b0 + (b1 + (b2 + a[9] * y3) @ y3) @ y3
+
+
+def expm_symmetric(x: np.ndarray) -> np.ndarray:
+    """exp(-i x) for every real symmetric x of the stack (..., d, d).
+
+    Returned as C - i S with C = cos(x) and S = sin(x), in real
+    arithmetic only.  Each matrix is scaled by 2^-e with
+    e = max(0, ceil(log2 ||x||_1)), so that ||x 2^-e||_1 <= 1; the Taylor
+    series of cos and sin through x^19 (remainder below 1/20!) is summed
+    in Paterson-Stockmeyer form in y = x^2 (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)), and U <- U^2, i.e. (C, S) <- (C^2 - S^2, 2CS),
+    is applied e times; the double-angle step C <- 2C^2 - I would amplify
+    rounding fourfold per step.  The exponent is chosen per matrix, so a
+    matrix's result does not depend on the stack it is in.  A non-finite
+    stack raises ValueError.
+    """
+    x = np.asarray(x, dtype=float)
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    if not np.all(np.isfinite(norm)):
+        raise ValueError("non-finite matrix in the stack")
+    mant, e = np.frexp(norm)
+    e = np.maximum(e - (mant == 0.5), 0)  # ceil(log2 norm), and 0 for 0
+    x = np.ldexp(x, -e[..., None, None])
+    y = x @ x
+    y2 = y @ y
+    y3 = y2 @ y
+    c = _series(_COS_COEFFS, y, y2, y3)
+    s = x @ _series(_SIN_COEFFS, y, y2, y3)
+    for j in range(int(e.max(initial=0))):
+        sel = e > j
+        cj, sj = c[sel], s[sel]
+        c[sel] = cj @ cj - sj @ sj
+        s[sel] = 2 * (cj @ sj)
+    u = np.empty(x.shape, dtype=complex)
+    u.real = c
+    u.imag = -s
+    return u
 
 
 def gate_fidelity(u: np.ndarray, v: np.ndarray) -> float:

@@ -14,7 +14,10 @@ a constant random shift of the |1>, |2>, |4> energies (Gaussian, std
 sigma_k), matching slow drift physics and the Ramsey T2* phenomenology.
 The shift is held for the whole shot: in a circuit every gate of shot k
 sees the same shift, and a Grover report takes both its success rate and
-its confidence interval from those same shots.
+its confidence interval from those same shots.  ``apply_noise`` propagates
+all shots at once through ``control.propagate`` (real-gauge exponentials,
+no eigendecomposition), and a ``NoisyChannel`` acts on a state through its
+16 x 16 superoperator, the shot mean of U (x) conj(U), built once.
 """
 
 from __future__ import annotations
@@ -247,19 +250,29 @@ def chi_of_unitary(u: np.ndarray) -> ChiMatrix:
 
 # --- quasi-static noise channel ----------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class NoisyChannel:
     """Mean of the conjugations by ``unitaries``, an (n_shots, 4, 4) array
-    of number-basis shot unitaries from quasi-static level shifts."""
+    of number-basis shot unitaries from quasi-static level shifts.
+
+    The channel is applied as its superoperator, the mean over shots of
+    U (x) conj(U) (16 x 16), built once on first use: row-major
+    vec(U rho U^dag) = (U (x) conj(U)) vec(rho).
+    """
 
     unitaries: np.ndarray
+
+    @functools.cached_property
+    def superoperator(self) -> np.ndarray:
+        us = self.unitaries.reshape(len(self.unitaries), 16)
+        s = (us.T @ us.conj()).reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+        return s.reshape(16, 16) / len(self.unitaries)
 
     def __call__(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.basis != "number":
             raise ValueError("channel acts on number-basis states")
-        us = self.unitaries
-        out = us @ rho.entries @ us.conj().transpose(0, 2, 1)
-        return DensityMatrix(out.mean(axis=0), basis="number")
+        out = self.superoperator @ rho.entries.ravel()
+        return DensityMatrix(out.reshape(4, 4), basis="number")
 
 
 def apply_noise(seq: PulseSequence, noise: NoiseModel) -> NoisyChannel:

@@ -1,5 +1,7 @@
 """Command-line interface: config handling, artifacts, determinism."""
 
+import argparse
+import gc
 import json
 import logging
 import os
@@ -12,8 +14,9 @@ import pytest
 
 import spinpair
 from spinpair.cli import (EXIT_BAD_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
-                          SCHEMA_VERSION, ConfigError, RunConfig, main,
-                          pulse_path, read_versioned_json, write_json)
+                          SCHEMA_VERSION, ConfigError, RunConfig,
+                          build_parser, main, pulse_path, read_versioned_json,
+                          write_json)
 from spinpair.control import PulseSequence
 from spinpair.grape import SYNTHESIS_VERSION
 from spinpair.tomography import apply_noise
@@ -40,6 +43,26 @@ def test_missing_config_file_is_exit_3(tmp_path):
     code = main(["--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o"), "grover"])
     assert code == EXIT_BAD_CONFIG
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_main_leaves_no_parser_in_cyclic_garbage(tmp_path):
+    argv = ["--config", str(tmp_path / "nope.json"), "grover"]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert main(argv) == EXIT_BAD_CONFIG
+        gc.collect()
+        parsers = [o for o in gc.garbage
+                   if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert parsers == []
 
 
 def test_unknown_config_key_is_exit_3(tmp_path):

@@ -18,7 +18,7 @@ from spinpair.control import (MicrowaveTone, PulseSequence, RegimeWarning,
                               segment_unitaries)
 from spinpair.ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, YB171, eigensystem,
                           free_hamiltonian, mapping_operator)
-from spinpair.linalg import expm_unitary
+from spinpair.linalg import expm_unitary, expm_unitary_batch
 
 TWO_PI = 2 * np.pi
 SILENT = MicrowaveTone(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -99,6 +99,47 @@ def test_from_json_rejects_non_positive_duration():
     text = json.dumps({"schema_version": 1, "segments": [seg]})
     with pytest.raises(ValueError, match="duration"):
         PulseSequence.from_json(text)
+
+
+@pytest.mark.parametrize("key, value", [("c31", [float("nan"), 0.0]),
+                                        ("duration_s", float("inf")),
+                                        ("d2", float("nan"))])
+def test_from_json_rejects_non_finite_values(key, value):
+    seg = {"duration_s": 1e-5, "c31": [1.0, 0.0], "c32": [0.0, 0.0],
+           "c34": [0.0, 0.0], "d1": 0.0, "d2": 0.0, "d4": 0.0, key: value}
+    text = json.dumps({"schema_version": 1, "segments": [seg]})
+    with pytest.raises(ValueError, match="non-finite"):
+        PulseSequence.from_json(text)
+
+
+def test_segment_unitaries_match_eigh_exponentials(rng):
+    """Star Hamiltonians with ||H t||_1 from 0 to 1e3 against eigh, within
+    20 eps max(1, ||H t||_1) per matrix."""
+    n = 12
+    amps = 1e4 * (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3)))
+    dets = 1e4 * rng.normal(size=(n, 3))
+    amps[0] = dets[0] = 0.0         # with the zero shot: the zero matrix
+    amps[1, 1] = 0.0                # one zero coupling
+    amps[2] = 0.0                   # detunings and shifts only
+    diags = 1e4 * rng.normal(size=(6, 4))   # level 3 shifted too
+    diags[0] = 0.0
+    hs = control_hamiltonian(PulseSequence(np.ones(n), amps, dets))
+    norm1 = np.abs(hs).sum(axis=-2).max(axis=-1)
+    norm1[:3] = np.abs(dets[:3]).max(axis=-1) + 1.0
+    durations = np.geomspace(1e-3, 1e3, n) / norm1
+    seq = PulseSequence(durations, amps, dets)
+    shift = np.zeros((6, 4, 4))
+    shift[:, range(4), range(4)] = diags
+    for h, t, uk in zip(hs, durations,
+                        segment_unitaries(seq, extra_diag=diags)):
+        ht = (h + shift) * t
+        want = expm_unitary_batch(ht, 1.0)
+        bound = 20 * np.finfo(float).eps * np.maximum(
+            1.0, np.abs(ht).sum(axis=-2).max(axis=-1))
+        assert np.all(np.abs(uk - want).max(axis=(-2, -1)) <= bound)
+    (u0,) = segment_unitaries(PulseSequence([1e-5], amps[:1], dets[:1]),
+                              extra_diag=diags[:1])
+    assert np.array_equal(u0, np.eye(4)[None])
 
 
 def test_segment_unitaries_extra_diag_shifts_phases():

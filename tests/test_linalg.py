@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_state, random_unitary
 from spinpair.linalg import (BasisMismatchError, DensityMatrix, StateVector,
-                             expm_unitary, expm_unitary_batch, gate_fidelity,
-                             kron, phase_min_distance, project_psd,
-                             state_fidelity)
+                             expm_symmetric, expm_unitary, expm_unitary_batch,
+                             gate_fidelity, kron, phase_min_distance,
+                             project_psd, state_fidelity)
+
+EPS = np.finfo(float).eps
 
 
 def test_state_vector_normalization_enforced():
@@ -55,6 +57,47 @@ def test_expm_unitary_batch_matches_expm_unitary_and_rejects_non_hermitian(
     hs[1, 0, 0, 1] += 1.0   # one non-Hermitian matrix in the batch
     with pytest.raises(ValueError, match="not Hermitian"):
         expm_unitary_batch(hs, 0.1)
+
+
+def _star(rng, n, norm1):
+    """n real symmetric star matrices (level 3 coupled to the other three,
+    any diagonal), each scaled to the 1-norm ``norm1``."""
+    x = np.zeros((n, 4, 4))
+    x[:, 2, [0, 1, 3]] = rng.normal(size=(n, 3))
+    x = x + x.swapaxes(-1, -2)
+    x[:, range(4), range(4)] = rng.normal(size=(n, 4))
+    return x * (norm1 / np.abs(x).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def test_expm_symmetric_matches_eigh_and_rejects_double_angle_squaring(rng):
+    # at ||x||_1 = 50 the kernel scales by 2^-6 and squares six times
+    x = _star(rng, 200, 50.0)
+    want = expm_unitary_batch(x, 1.0)
+    bound = 20 * EPS * 50.0
+    assert np.max(np.abs(expm_symmetric(x) - want)) <= bound
+    # the same Taylor sum squared with C <- 2C^2 - I misses the bound
+    u = expm_symmetric(x / 64)
+    c, s = u.real, -u.imag
+    for _ in range(6):
+        c, s = 2 * c @ c - np.eye(4), 2 * (c @ s)
+    assert np.max(np.abs(c - 1j * s - want)) > bound
+
+
+def test_expm_symmetric_result_does_not_depend_on_the_stack(rng):
+    x = np.concatenate([_star(rng, 3, 0.0), _star(rng, 3, 0.7),
+                        _star(rng, 3, 300.0)])
+    us = expm_symmetric(x)
+    for xk, uk in zip(x, us):
+        assert np.array_equal(expm_symmetric(xk), uk)
+    assert np.array_equal(us[:3], np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_expm_symmetric_rejects_a_non_finite_stack(rng, bad):
+    x = _star(rng, 5, 1.0)
+    x[3, 2, 0] = x[3, 0, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        expm_symmetric(x)
 
 
 def test_gate_fidelity_bounds_and_known_values(rng):

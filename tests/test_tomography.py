@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_unitary
-from spinpair.control import PulseSequence
+from spinpair.control import PulseSequence, propagate
 from spinpair.grape import standard_gate, target_in_number_basis
 from spinpair.ion import YB171, eigensystem
 from spinpair import tomography
 from spinpair.linalg import (ChiMatrix, DensityMatrix, process_fidelity,
                              project_psd, state_fidelity)
-from spinpair.tomography import (T2STAR, NoiseModel, PAULI2, apply_noise,
-                                 calibrate_sigma, chi_of_unitary, measure_p3,
-                                 noise_model, qpt, qpt_input_states, qst,
-                                 qst_settings)
+from spinpair.tomography import (T2STAR, NoiseModel, NoisyChannel, PAULI2,
+                                 apply_noise, calibrate_sigma, chi_of_unitary,
+                                 measure_p3, noise_model, qpt,
+                                 qpt_input_states, qst, qst_settings)
 
 TWO_PI = 2 * np.pi
 
@@ -198,6 +198,29 @@ def test_apply_noise_zero_sigma_is_unitary():
     rho[2, 2] = 1.0
     out = channel(DensityMatrix(rho, basis="number"))
     assert out.entries[0, 0].real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_apply_noise_and_propagate_need_no_eigh(monkeypatch, rng):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh on the propagation path")
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    seq = PulseSequence(np.full(3, 2e-5),
+                        1e5 * (rng.normal(size=(3, 3))
+                               + 1j * rng.normal(size=(3, 3))),
+                        1e4 * rng.normal(size=(3, 3)))
+    channel = apply_noise(seq, noise_model("free", n_samples=5))
+    assert channel.unitaries.shape == (5, 4, 4)
+    assert propagate(seq).shape == (4, 4)
+
+
+def test_noisy_channel_matches_the_shot_mean_of_conjugations(rng):
+    us = np.array([random_unitary(rng) for _ in range(200)])
+    channel = NoisyChannel(us)
+    for _ in range(5):
+        rho = random_density(rng)
+        want = np.mean(us @ rho @ us.conj().swapaxes(-1, -2), axis=0)
+        got = channel(DensityMatrix(rho, basis="number")).entries
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_apply_noise_reduces_fidelity(hadamard_300us):
