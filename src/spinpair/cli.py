@@ -37,9 +37,9 @@ from .grape import (ALL_GATES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
 from .ion import IonParams, YB171, eigensystem
 from .linalg import (DensityMatrix, StateVector, process_fidelity,
                      state_fidelity)
-from .multiion import (GradientDrive, TwoIonSystem, composite_zz,
-                       large_field_selectivity, motion_disentanglement_check,
-                       ms_composite_xx)
+from .multiion import (COMPOSITE_ZZ_TOL, GradientDrive, TwoIonSystem,
+                       composite_zz, large_field_selectivity,
+                       motion_disentanglement_check, ms_composite_xx)
 from .tomography import (T2STAR, NoiseModel, apply_noise, chi_of_unitary,
                          noise_model, qpt, qst)
 
@@ -188,12 +188,10 @@ def load_config(path: str | None, seed: int | None,
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _c(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _matrix(m: np.ndarray) -> list:
-    return [[_c(x) for x in row] for row in np.asarray(m)]
+    m = np.asarray(m)
+    return [[[x, y] for x, y in zip(re, im)]
+            for re, im in zip(m.real.tolist(), m.imag.tolist())]
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -209,10 +207,10 @@ def write_matrix_csv(path: Path, m: np.ndarray, label: str) -> None:
         w = csv.writer(fh)
         w.writerow(["schema_version", SCHEMA_VERSION, label])
         w.writerow(["row", "col", "re", "im"])
-        for i, row in enumerate(np.asarray(m)):
-            for j, x in enumerate(row):
-                w.writerow([i, j, repr(float(np.real(x))),
-                            repr(float(np.imag(x)))])
+        m = np.asarray(m)
+        for i, (re, im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
+            for j, (x, y) in enumerate(zip(re, im)):
+                w.writerow([i, j, repr(x), repr(y)])
     log.debug("wrote %s", path)
 
 
@@ -420,6 +418,7 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
                          drive.delta, drive.k1, dist])
         report["composite_zz"] = {"draws": draws,
                                   "max_distance": max(dists)}
+        ok = ok and max(dists) <= COMPOSITE_ZZ_TOL
 
     if args.check in ("ms-sweep", "all"):
         tau = 0.7 if args.tau is None else args.tau

@@ -25,8 +25,11 @@ levels 1, 2, 4 (1 where c_j = 0) and phi_3 = 1, and R real symmetric:
 |c_j| in row and column 3, and the real diagonal of H.  A noise shift is
 real and diagonal, so it commutes with Phi and adds to R.  Then
 U = Phi exp(-i R t) Phi^dag, and ``linalg.expm_symmetric`` takes
-exp(-i R t) in real arithmetic, with no eigendecomposition.  The lab
-frame is not star-shaped and keeps ``expm_unitary_batch``.
+exp(-i R t) in real arithmetic, with no eigendecomposition.  ``propagate``
+multiplies the segments in real arithmetic too: the running product P is
+the real (..., 8, 4) array [Re P; Im P], and a segment U acts on it as the
+real block [[Re U, -Im U], [Im U, Re U]].  The lab frame is not
+star-shaped and keeps ``expm_unitary_batch``.
 
 The lab-frame integration steps H(t) = h0 - sum_t cos(omega_t t + phi_t) g_t
 at midpoints, one exact exponential per step.  The steps go in chunks of
@@ -189,10 +192,22 @@ def segment_unitaries(seq: PulseSequence,
 def propagate(seq: PulseSequence,
               extra_diag: np.ndarray | None = None) -> np.ndarray:
     """Total propagator of the sequence in row order, latest segment
-    leftmost; batched over the leading axes of ``extra_diag``."""
-    u = np.eye(4, dtype=complex)
+    leftmost; batched over the leading axes of ``extra_diag``.
+
+    The running product is the real block form of the module docstring:
+    a real batched product costs a fraction of a complex one of the same
+    shape."""
+    p = None
     for uk in segment_unitaries(seq, extra_diag=extra_diag):
-        u = uk @ u
+        block = np.empty(uk.shape[:-2] + (8, 8))
+        block[..., :4, :4] = block[..., 4:, 4:] = uk.real
+        block[..., 4:, :4] = uk.imag
+        np.negative(uk.imag, out=block[..., :4, 4:])
+        # the first segment's product is its own first block column
+        p = block[..., :4] if p is None else block @ p
+    u = np.empty(p.shape[:-2] + (4, 4), dtype=complex)
+    u.real = p[..., :4, :]
+    u.imag = p[..., 4:, :]
     return u
 
 

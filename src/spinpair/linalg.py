@@ -7,6 +7,8 @@ unitary up to eigensolver error; the lab frame and the spin-motion blocks
 use them.  ``expm_symmetric`` exponentiates real symmetric matrices by
 scaling, a Taylor sum and squaring in real arithmetic only: the rotating-
 frame segments, brought to real form by a diagonal gauge, go through it.
+``project_psd`` projects a whole stack of matrices at once, as ``qpt``
+needs for its 16 reconstructed outputs.
 """
 
 from __future__ import annotations
@@ -129,11 +131,22 @@ _SIN_COEFFS = [(-1) ** m / math.factorial(2 * m + 1) for m in range(10)]
 
 
 def _series(a, y, y2, y3):
-    """sum_m a[m] y^m for m < 10, Paterson-Stockmeyer in y^3."""
-    eye = np.eye(y.shape[-1])
-    b0, b1, b2 = (a[k] * eye + a[k + 1] * y + a[k + 2] * y2
-                  for k in (0, 3, 6))
-    return b0 + (b1 + (b2 + a[9] * y3) @ y3) @ y3
+    """sum_m a[m] y^m for m < 10, Paterson-Stockmeyer in y^3.
+
+    Each term b_k = a[k] I + a[k+1] y + a[k+2] y^2 is built in place, a[k]
+    added on the diagonal only."""
+    def term(k):
+        b = a[k + 1] * y
+        b.reshape(b.shape[:-2] + (-1,))[..., ::b.shape[-1] + 1] += a[k]
+        b += a[k + 2] * y2
+        return b
+    b2 = term(6)
+    b2 += a[9] * y3
+    b1 = term(3)
+    b1 += b2 @ y3
+    b0 = term(0)
+    b0 += b1 @ y3
+    return b0
 
 
 def expm_symmetric(x: np.ndarray) -> np.ndarray:
@@ -151,7 +164,15 @@ def expm_symmetric(x: np.ndarray) -> np.ndarray:
     stack raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    # ||x||_1 by explicit row adds and maxima: numpy's reductions over axes
+    # of length 4 cost more than a whole batched 4 x 4 product
+    ax = np.abs(x)
+    col = ax[..., 0, :]
+    for k in range(1, x.shape[-1]):
+        col = col + ax[..., k, :]
+    norm = col[..., 0]
+    for k in range(1, x.shape[-1]):
+        norm = np.maximum(norm, col[..., k])
     if not np.all(np.isfinite(norm)):
         raise ValueError("non-finite matrix in the stack")
     mant, e = np.frexp(norm)
@@ -164,6 +185,9 @@ def expm_symmetric(x: np.ndarray) -> np.ndarray:
     s = x @ _series(_SIN_COEFFS, y, y2, y3)
     for j in range(int(e.max(initial=0))):
         sel = e > j
+        if sel.all():  # no gather and scatter while every matrix squares
+            c, s = c @ c - s @ s, 2 * (c @ s)
+            continue
         cj, sj = c[sel], s[sel]
         c[sel] = cj @ cj - sj @ sj
         s[sel] = 2 * (cj @ sj)
@@ -220,15 +244,17 @@ def process_fidelity(chi_a: ChiMatrix, chi_b: ChiMatrix) -> float:
 
 
 def project_psd(m: np.ndarray) -> np.ndarray:
-    """Nearest-PSD projection: Hermitize, clip eigenvalues, renormalize trace."""
-    m = 0.5 * (m + m.conj().T)
+    """Nearest-PSD projection: Hermitize, clip eigenvalues, renormalize trace.
+
+    Batched over the leading axes of ``m`` (..., d, d)."""
+    m = 0.5 * (m + m.conj().swapaxes(-1, -2))
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    out = (v * w) @ v.conj().T
-    tr = np.trace(out).real
-    if tr <= 0:
+    out = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    tr = np.trace(out, axis1=-2, axis2=-1).real
+    if np.any(tr <= 0):
         raise ValueError("projection collapsed to zero trace")
-    return out / tr
+    return out / tr[..., None, None]
 
 
 def phase_min_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -6,8 +6,10 @@ tomography routes populations and coherences into the measurable level
 with pi and pi/2 pulses on the (3,1), (3,2), (3,4) subspaces, then inverts
 the linear map; pairs not involving |3> use a composed route (a pi pulse
 into |3> followed by a pi/2 analysis pulse).  ``qst`` measures one given
-state in all 16 settings; ``qpt`` applies the process once per input and
-reads chi exactly off its superoperator (Chuang & Nielsen, 1997).
+state in all 16 settings; ``qpt`` applies the process once per input,
+reconstructs all 16 outputs in one inversion (one least-squares solve with
+16 right-hand sides, one batched PSD projection) and reads chi exactly off
+its superoperator (Chuang & Nielsen, 1997).
 
 Magnetic noise is modeled as quasi-static: each experimental shot draws
 a constant random shift of the |1>, |2>, |4> energies (Gaussian, std
@@ -16,8 +18,9 @@ The shift is held for the whole shot: in a circuit every gate of shot k
 sees the same shift, and a Grover report takes both its success rate and
 its confidence interval from those same shots.  ``apply_noise`` propagates
 all shots at once through ``control.propagate`` (real-gauge exponentials,
-no eigendecomposition), and a ``NoisyChannel`` acts on a state through its
-16 x 16 superoperator, the shot mean of U (x) conj(U), built once.
+no eigendecomposition, and the shot products in real 8 x 8 block form),
+and a ``NoisyChannel`` acts on a state through its 16 x 16 superoperator,
+the shot mean of U (x) conj(U), built once.
 """
 
 from __future__ import annotations
@@ -154,6 +157,7 @@ def _hermitian_basis(d: int = 4) -> list:
 
 
 _QST_BASIS = _hermitian_basis()
+_QST_BASIS_ROWS = np.array(_QST_BASIS).reshape(16, 16)  # row b: vec(B_b)
 _QST_SETTINGS = np.array(qst_settings())  # (16, 4, 4)
 
 
@@ -169,6 +173,21 @@ def _qst_design() -> np.ndarray:
     return a
 
 
+def _reconstruct(rhos: np.ndarray, shots: int, rng) -> np.ndarray:
+    """Linear-inversion estimates of the number-basis states ``rhos``
+    (k, 4, 4), projected onto the physical states.
+
+    All 16 settings rotate every state at once, and the binomial draws run
+    state by state, setting by setting.  One least-squares solve takes the
+    k probability vectors as its right-hand sides.
+    """
+    vs = _QST_SETTINGS
+    rotated = vs @ rhos[:, None] @ vs.conj().transpose(0, 2, 1)
+    probs = _read_p3(rotated[..., 2, 2].real, shots, rng)  # (k, 16)
+    x, *_ = np.linalg.lstsq(_qst_design(), probs.T, rcond=None)
+    return project_psd((x.T @ _QST_BASIS_ROWS).reshape(-1, 4, 4))
+
+
 def qst(rho: DensityMatrix, shots: int = 0, rng=None) -> DensityMatrix:
     """Reconstruct the number-basis state ``rho`` by linear inversion.
 
@@ -177,12 +196,8 @@ def qst(rho: DensityMatrix, shots: int = 0, rng=None) -> DensityMatrix:
     """
     if rho.basis != "number":
         raise ValueError("qst expects a number-basis state")
-    vs = _QST_SETTINGS
-    rotated = vs @ rho.entries @ vs.conj().transpose(0, 2, 1)
-    probs = _read_p3(rotated[:, 2, 2].real, shots, rng)
-    x, *_ = np.linalg.lstsq(_qst_design(), probs, rcond=None)
-    m = sum(c * b for c, b in zip(x, _QST_BASIS))
-    return DensityMatrix(project_psd(m), basis="number")
+    return DensityMatrix(_reconstruct(rho.entries[None], shots, rng)[0],
+                         basis="number")
 
 
 # --- process tomography ------------------------------------------------------
@@ -209,6 +224,20 @@ def _qpt_inputs_inverse() -> np.ndarray:
     return np.linalg.inv(r)
 
 
+@functools.cache
+def _qpt_inputs(theta0: float) -> tuple:
+    """The 16 QPT inputs in the number basis of mixing angle ``theta0``;
+    shared by every ``qpt`` call, so their entries are read-only."""
+    r = mapping_operator(theta0)
+    inputs = []
+    for psi in qpt_input_states():
+        rho_s = DensityMatrix(np.outer(psi, psi.conj()), basis="spin")
+        rho = change_basis(rho_s, r, "spin_to_number")
+        rho.entries.flags.writeable = False
+        inputs.append(rho)
+    return tuple(inputs)
+
+
 def qpt(process, ion: IonParams = YB171, shots: int = 0,
         rng=None) -> ChiMatrix:
     """Standard 16-input-state process tomography; chi in the spin basis.
@@ -216,8 +245,9 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0,
     ``process`` maps a number-basis DensityMatrix to a number-basis
     DensityMatrix and is called once per input state (16 calls).  Inputs
     are prepared in the spin basis and conjugated to the number basis for
-    simulation; each output is reconstructed with ``qst`` and mapped back
-    to the spin basis.  An output whose trace is not 1 triggers a warning.
+    simulation (once per mixing angle); the 16 outputs are reconstructed
+    together, in one linear inversion, and mapped back to the spin basis.
+    An output whose trace is not 1 triggers a warning.
     With R and O holding the row-major vec of the inputs and outputs as
     columns, S = O R^-1 and, as vec(P_m rho P_n) = (P_m (x) P_n^T) vec(rho),
     chi_mn = sum_abcd conj(P_m[a,c] P_n[d,b]) S[(a,b),(c,d)] / 16.
@@ -225,17 +255,17 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0,
     if rng is None:
         rng = np.random.default_rng()
     _, theta0 = mixing_angle(ion)
-    r = mapping_operator(theta0)
     outputs = []
-    for psi in qpt_input_states():
-        rho_s = DensityMatrix(np.outer(psi, psi.conj()), basis="spin")
-        out = process(change_basis(rho_s, r, "spin_to_number"))
+    for rho in _qpt_inputs(theta0):
+        out = process(rho)
         tr = float(np.trace(out.entries).real)
         if abs(tr - 1.0) > 1e-6:
             warnings.warn(f"process is not trace preserving (Tr={tr})")
-        out_n = qst(out, shots=shots, rng=rng)
-        outputs.append(change_basis(out_n, r, "number_to_spin").entries)
-    s = np.array(outputs).reshape(16, 16).T @ _qpt_inputs_inverse()
+        outputs.append(out.entries)
+    r = mapping_operator(theta0)
+    # number_to_spin for all 16 estimates: R rho R^dag
+    spin = r @ _reconstruct(np.array(outputs), shots, rng) @ r.conj().T
+    s = spin.reshape(16, 16).T @ _qpt_inputs_inverse()
     chi = np.einsum("mac,ndb,abcd->mn", _PAULI2_CONJ, _PAULI2_CONJ,
                     s.reshape(4, 4, 4, 4)) / 16
     return ChiMatrix(project_psd(chi))

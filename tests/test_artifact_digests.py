@@ -11,6 +11,12 @@ SHA-256 of every file and the numpy, BLAS and platform that wrote them.
 A change that moves any artifact updates that file in the same commit:
 
     PYTHONPATH=src python tests/test_artifact_digests.py
+
+A pulse file's name carries the hash of the synthesis config and of
+``grape.SYNTHESIS_VERSION``.  A pulse whose name stays while its bytes
+change was therefore made by new synthesis code under the old version, and
+a cache would serve the old pulse in its place: the rewrite refuses it
+until ``SYNTHESIS_VERSION`` is raised.
 """
 
 import hashlib
@@ -23,6 +29,7 @@ import numpy as np
 
 from spinpair.circuits import MODES
 from spinpair.cli import EXIT_NO_CONVERGENCE, EXIT_OK, main
+from spinpair.grape import SYNTHESIS_VERSION
 
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
 
@@ -78,6 +85,12 @@ def run_commands(root: Path) -> dict:
     return digests
 
 
+def pulses_moved_under_their_name(want: dict, got: dict) -> list:
+    """The ``pulses:`` keys in both digest maps whose digests differ."""
+    return sorted(k for k in want.keys() & got.keys()
+                  if k.startswith("pulses: ") and want[k] != got[k])
+
+
 def test_artifacts_match_the_committed_digests(tmp_path):
     want = json.loads(DIGESTS.read_text())
     got = run_commands(tmp_path)
@@ -92,16 +105,34 @@ def test_artifacts_match_the_committed_digests(tmp_path):
     platform_diff = [f"{k}: {want['environment'].get(k)} recorded, {v} now"
                      for k, v in environment().items()
                      if want["environment"].get(k) != v]
+    stale = pulses_moved_under_their_name(want["digests"], got)
     assert not moved, "\n  ".join(
         [f"{len(moved)} artifacts differ from {DIGESTS.name}:", *moved]
+        + ([f"{len(stale)} pulses changed under their cache name: raise "
+            f"grape.SYNTHESIS_VERSION (now {SYNTHESIS_VERSION})"]
+           if stale else [])
         + (["under a different environment:", *platform_diff]
            if platform_diff else []))
+
+
+def test_a_pulse_changed_under_its_cache_name_is_stale():
+    want = {"pulses: a.json": "1", "pulses: b.json": "2", "qst: x.json": "3"}
+    got = {"pulses: a.json": "1", "pulses: b.json": "9", "qst: x.json": "4",
+           "pulses: c.json": "5"}
+    assert pulses_moved_under_their_name(want, got) == ["pulses: b.json"]
 
 
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         digests = run_commands(Path(tmp))
+    stale = pulses_moved_under_their_name(
+        json.loads(DIGESTS.read_text())["digests"], digests)
+    if stale:
+        sys.exit("\n  ".join(
+            [f"refusing to rewrite {DIGESTS.name}: these pulses changed "
+             f"under their cache name; raise grape.SYNTHESIS_VERSION (now "
+             f"{SYNTHESIS_VERSION})", *stale]))
     DIGESTS.write_text(json.dumps({"environment": environment(),
                                    "digests": digests}, indent=1,
                                   sort_keys=True) + "\n")

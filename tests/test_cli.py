@@ -13,12 +13,14 @@ import numpy as np
 import pytest
 
 import spinpair
+from spinpair import cli
 from spinpair.cli import (EXIT_BAD_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                           SCHEMA_VERSION, ConfigError, RunConfig,
                           build_parser, main, pulse_path, read_versioned_json,
                           write_json)
 from spinpair.control import PulseSequence
 from spinpair.grape import SYNTHESIS_VERSION
+from spinpair.multiion import DisentanglementReport
 from spinpair.tomography import apply_noise
 from test_artifact_digests import SMALL as DIGEST_SMALL
 
@@ -249,6 +251,33 @@ def test_disentanglement_check(tmp_path):
     assert d["spin_purity"] >= 1 - 1e-6
     assert d["residual"] <= 1e-6
     assert d["converged"] is (code == EXIT_OK)
+
+
+# each report misses one of criterion 4's thresholds by a small margin
+@pytest.mark.parametrize("report", [
+    DisentanglementReport(spin_purity=1 - 2e-6, residual=0.0,
+                          cutoff_change=0.0),
+    DisentanglementReport(spin_purity=1.0, residual=2e-6, cutoff_change=0.0),
+    DisentanglementReport(spin_purity=1.0, residual=0.0, cutoff_change=2e-8)],
+    ids=["purity", "residual", "cutoff_change"])
+def test_disentanglement_outside_criterion_4_is_exit_2(tmp_path, monkeypatch,
+                                                       report):
+    monkeypatch.setattr(cli, "motion_disentanglement_check",
+                        lambda sys_: report)
+    code, out = run_cli(tmp_path, "multiion-verify", "disentanglement")
+    assert code == EXIT_NO_CONVERGENCE
+    d = read_versioned_json(out / "multiion_disentanglement.json")
+    assert d["disentanglement"]["converged"] is False
+
+
+@pytest.mark.parametrize("check", ["composite-zz", "all"])
+def test_composite_zz_outside_criterion_3_is_exit_2(tmp_path, monkeypatch,
+                                                    check):
+    monkeypatch.setattr(cli, "composite_zz", lambda sys_: (None, 2e-9))
+    code, out = run_cli(tmp_path, "multiion-verify", check, "--draws", "2")
+    assert code == EXIT_NO_CONVERGENCE
+    report = read_versioned_json(out / f"multiion_{check}.json")
+    assert report["composite_zz"]["max_distance"] == 2e-9
 
 
 def test_selectivity_deterministic_across_runs(tmp_path):

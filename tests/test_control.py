@@ -163,6 +163,21 @@ def test_propagate_batches_over_noise_shots(rng):
         [propagate(seq, extra_diag=d) for d in diags]))
 
 
+def test_propagate_real_block_product_matches_the_complex_product(rng):
+    n = 20
+    seq = PulseSequence(rng.uniform(1e-6, 5e-5, size=n),
+                        1e4 * (rng.normal(size=(n, 3))
+                               + 1j * rng.normal(size=(n, 3))),
+                        1e3 * rng.normal(size=(n, 3)))
+    diags = 1e3 * rng.normal(size=(50, 4))
+    bound = 20 * np.finfo(float).eps * n
+    for shifts in (None, diags):
+        want = np.eye(4, dtype=complex)
+        for uk in segment_unitaries(seq, extra_diag=shifts):
+            want = uk @ want
+        assert np.max(np.abs(propagate(seq, extra_diag=shifts) - want)) <= bound
+
+
 def test_rwa_coefficients_tone_selectivity():
     es = eigensystem(YB171)
     e = es.energies

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_state, random_unitary
+from spinpair import linalg
 from spinpair.linalg import (BasisMismatchError, DensityMatrix, StateVector,
                              expm_symmetric, expm_unitary, expm_unitary_batch,
                              gate_fidelity, kron, phase_min_distance,
@@ -81,6 +82,39 @@ def test_expm_symmetric_matches_eigh_and_rejects_double_angle_squaring(rng):
     for _ in range(6):
         c, s = 2 * c @ c - np.eye(4), 2 * (c @ s)
     assert np.max(np.abs(c - 1j * s - want)) > bound
+
+
+def _expm_symmetric_reference(x):
+    """expm_symmetric in its first formulation: the 1-norm by numpy
+    reductions, the Taylor terms with a[k] * I, and a gather and scatter
+    at every squaring step."""
+    def series(a, y, y2, y3):
+        b0, b1, b2 = (a[k] * np.eye(4) + a[k + 1] * y + a[k + 2] * y2
+                      for k in (0, 3, 6))
+        return b0 + (b1 + (b2 + a[9] * y3) @ y3) @ y3
+    mant, e = np.frexp(np.abs(x).sum(axis=-2).max(axis=-1))
+    e = np.maximum(e - (mant == 0.5), 0)
+    x = np.ldexp(x, -e[..., None, None])
+    y = x @ x
+    y2 = y @ y
+    y3 = y2 @ y
+    c = series(linalg._COS_COEFFS, y, y2, y3)
+    s = x @ series(linalg._SIN_COEFFS, y, y2, y3)
+    for j in range(int(e.max(initial=0))):
+        sel = e > j
+        cj, sj = c[sel], s[sel]
+        c[sel] = cj @ cj - sj @ sj
+        s[sel] = 2 * (cj @ sj)
+    return c - 1j * s
+
+
+@pytest.mark.parametrize("norm1", [1e-3, 0.5, 1.0, 7.0, 1e3])
+def test_expm_symmetric_matches_its_first_formulation(rng, norm1):
+    # a stack of one 1-norm squares every matrix alike; the mixed stack
+    # squares only some of them at the later steps
+    mixed = _star(rng, 60, 1.0) * np.geomspace(1e-3, 1e3, 60)[:, None, None]
+    for x in (_star(rng, 60, norm1), mixed):
+        assert np.array_equal(expm_symmetric(x), _expm_symmetric_reference(x))
 
 
 def test_expm_symmetric_result_does_not_depend_on_the_stack(rng):

@@ -4,7 +4,8 @@ import pytest
 from conftest import random_density, random_unitary
 from spinpair.control import PulseSequence, propagate
 from spinpair.grape import standard_gate, target_in_number_basis
-from spinpair.ion import YB171, eigensystem
+from spinpair.ion import (YB171, change_basis, eigensystem, mapping_operator,
+                          mixing_angle)
 from spinpair import tomography
 from spinpair.linalg import (ChiMatrix, DensityMatrix, process_fidelity,
                              project_psd, state_fidelity)
@@ -163,6 +164,39 @@ def test_qpt_calls_process_once_per_input_state():
     assert len(calls) == 16
     ident = chi_of_unitary(np.eye(4, dtype=complex))
     assert process_fidelity(chi, ident) >= 1 - 1e-6
+
+
+@pytest.mark.parametrize("shots", [0, 500])
+def test_qpt_matches_a_per_output_reconstruction(rng, shots):
+    # reference: the 16 outputs one at a time through qst and change_basis
+    process = NoisyChannel(np.array([random_unitary(rng) for _ in range(3)]))
+    _, theta0 = mixing_angle(YB171)
+    r = mapping_operator(theta0)
+    ref_rng = np.random.default_rng(5)
+    outputs = []
+    for psi in qpt_input_states():
+        rho_s = DensityMatrix(np.outer(psi, psi.conj()), basis="spin")
+        out = qst(process(change_basis(rho_s, r, "spin_to_number")),
+                  shots=shots, rng=ref_rng)
+        outputs.append(change_basis(out, r, "number_to_spin").entries)
+    s = (np.array(outputs).reshape(16, 16).T
+         @ tomography._qpt_inputs_inverse())
+    p_conj = np.conj(PAULI2)
+    want = project_psd(np.einsum("mac,ndb,abcd->mn", p_conj, p_conj,
+                                 s.reshape(4, 4, 4, 4)) / 16)
+    got = qpt(process, shots=shots, rng=np.random.default_rng(5)).entries
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_qpt_inputs_are_cached_and_read_only():
+    _, theta0 = mixing_angle(YB171)
+    inputs = tomography._qpt_inputs(theta0)
+    assert tomography._qpt_inputs(theta0) is inputs
+    assert len(inputs) == 16
+    for rho in inputs:
+        assert rho.basis == "number"
+        with pytest.raises(ValueError, match="read-only"):
+            rho.entries[0, 0] = 0.0
 
 
 def test_chi_of_unitary_structure():

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from spinpair.control import PulseSequence
+from spinpair.linalg import DensityMatrix
 from spinpair.multiion import GradientDrive, NormalMode, TwoIonSystem
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -75,12 +76,15 @@ def test_tracer_hooks_count_noise_shots_and_channel_calls(monkeypatch):
     try:
         # through the module: install() rebinds the module's names
         tomography.qpt(tomography.apply_noise(seq, noise), shots=0)
+        # qpt reconstructs its 16 outputs in one inversion, without qst
+        assert tracer.layer_metrics(1.0, 1.0)["tomography.qst.calls"] == 0
+        tomography.qst(DensityMatrix(np.eye(4) / 4, basis="number"))
     finally:
         tracer.uninstall()
     m = tracer.layer_metrics(1.0, 1.0)
     assert m["tomography.noise_unitaries"] == 3
     assert m["tomography.NoisyChannel.calls"] == 16
-    assert m["tomography.qst.calls"] == 16
+    assert m["tomography.qst.calls"] == 1
     assert m["tomography.qpt.calls"] == 1
 
 
