@@ -37,8 +37,8 @@ from .grape import (ALL_GATES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
 from .ion import IonParams, YB171, eigensystem
 from .linalg import (DensityMatrix, StateVector, process_fidelity,
                      state_fidelity)
-from .multiion import (COMPOSITE_ZZ_TOL, GradientDrive, TwoIonSystem,
-                       composite_zz, large_field_selectivity,
+from .multiion import (COMPOSITE_ZZ_TOL, SELECTIVITY_TOL, GradientDrive,
+                       TwoIonSystem, composite_zz, large_field_selectivity,
                        motion_disentanglement_check, ms_composite_xx)
 from .tomography import (T2STAR, NoiseModel, apply_noise, chi_of_unitary,
                          noise_model, qpt, qst)
@@ -452,6 +452,8 @@ def cmd_multiion_verify(cfg: RunConfig, args) -> int:
         report["selectivity"] = sel
         rows.append(["selectivity", sel["relative_error"],
                      sel["gamma_ratio"], "", ""])
+        ok = ok and (abs(sel["relative_error"] - sel["gamma_ratio"])
+                     <= SELECTIVITY_TOL * sel["gamma_ratio"])
 
     write_json(out / f"multiion_{args.check}.json", report)
     write_rows_csv(out / f"multiion_{args.check}.csv",

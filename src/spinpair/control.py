@@ -60,7 +60,7 @@ import numpy as np
 
 from .ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, IonParams, eigensystem,
                   free_hamiltonian, mapping_operator)
-from .linalg import assert_hermitian, expm_symmetric, expm_unitary_batch
+from .linalg import expm_symmetric, expm_unitary_batch
 
 PULSE_SCHEMA_VERSION = 1
 
@@ -173,7 +173,6 @@ def segment_unitaries(seq: PulseSequence,
     module docstring.
     """
     hs = control_hamiltonian(seq)
-    assert_hermitian(hs)
     col = hs[..., L3]  # conj(c_j) on levels 1, 2, 4 and 0 on level 3
     mag = np.abs(col)
     phi = np.divide(col, mag, out=np.ones_like(col), where=mag > 0)

@@ -10,12 +10,12 @@ The optimizer's flat parameter vector stores each coupling as an
 [Re, Im] pair, so ``_pulse`` views it as a ``control.PulseSequence``
 without copying.  ``_Point`` evaluates one such sequence over all S
 robustness scalings at once: one (S, n, 4, 4) stack of segment
-propagators and one forward loop over the n segments whose steps are
-(S, 4, 4) products, keeping every prefix.  The gradient is computed on
-demand, only for points the ascent accepts, from that evaluation's
-propagators and prefixes; line-search trials cost one evaluation each.
-With P_k the prefix product for which Tr(target^dag U) = Tr(P_k U_k), it
-is one batched contraction over the scalings and segments.
+propagators and one forward loop over the n segments that fills one
+(S, n + 1, 4, 4) array of prefixes.  The gradient is computed on demand,
+only for points the ascent accepts, from that evaluation's propagators
+and prefixes; line-search trials cost one evaluation each.  With P_k the
+product for which Tr(target^dag U) = Tr(P_k U_k), it is one batched
+contraction, returned as one vector laid out like the parameter vector.
 
 Two kernels give the segment propagators and their derivatives:
 
@@ -239,7 +239,6 @@ class _Point:
     def __init__(self, seq: PulseSequence, target_n: np.ndarray, scalings,
                  detunings: bool = False):
         self.dts = seq.durations
-        self.target_n = target_n
         self.scalings = scalings
         if detunings or np.any(seq.dets):
             self.w = None
@@ -262,33 +261,34 @@ class _Point:
             us[..., L3, :] = -1j * c * w.conj()
             us[..., :, L3] = -1j * c * w
             us[..., L3, L3] = 1.0 + a[..., 0]
-        # forward[k] = U_k ... U_1 for every scaling (forward[0] = I), in
+        # fw[:, k] = U_k ... U_1 for every scaling (fw[:, 0] = I), in
         # time order: another order moves the pulses in their last bits
-        forward = [np.broadcast_to(np.eye(4, dtype=complex), us[:, 0].shape)]
+        self.fw = fw = np.empty((len(scalings), len(self.dts) + 1, 4, 4),
+                                dtype=complex)
+        fw[:, 0] = np.eye(4)
         for k in range(len(self.dts)):
-            forward.append(us[:, k] @ forward[-1])
-        self.forward = forward
-        self.tr = np.trace(target_n.conj().T @ forward[-1], axis1=-2,
-                           axis2=-1)
+            np.matmul(us[:, k], fw[:, k], out=fw[:, k + 1])
+        self.target_h = target_n.conj().T
+        self.tr = np.trace(self.target_h @ fw[:, -1], axis1=-2, axis2=-1)
         total_f = 0.0
         for tr in self.tr:
             total_f += float(np.abs(tr) ** 2) / 16.0
         self.fidelity = total_f / len(scalings)
 
     def gradient(self):
-        """Gradient of the mean fidelity as ``(g_amps, g_dets)``: complex
-        (n, 3) whose real and imaginary parts are the partials in Re and
-        Im of c31, c32, c34, and real (n, 3) partials in d1, d2, d4
-        (None from the closed form)."""
-        fw = np.stack(self.forward, axis=1)
-        # tr = Tr(P_k U_k) with P_k = forward[k] T^dag U_N ... U_{k+1}, and
-        # U_N ... U_{k+1} = U forward[k+1]^dag
-        p = (fw[:, :-1] @ (self.target_n.conj().T @ fw[:, -1:])
+        """Gradient of the mean fidelity, laid out like the parameter
+        vector: the Re and Im partials of c31, c32, c34 per segment, then
+        (eigh kernel only) the d1, d2, d4 partials per segment."""
+        fw = self.fw
+        # tr = Tr(P_k U_k) with P_k = fw[k] T^dag U_N ... U_{k+1}, and
+        # U_N ... U_{k+1} = U fw[k+1]^dag
+        p = (fw[:, :-1] @ (self.target_h @ fw[:, -1:])
              @ fw[:, 1:].conj().swapaxes(-1, -2))
         norm = (2.0 / 16.0) / len(self.scalings)
         if self.w is None:
             g_amps, g_dets = self._eigh_gradient(p)
-            return norm * g_amps, norm * g_dets
+            return np.concatenate([(norm * g_amps).view(float).ravel(),
+                                   (norm * g_dets).ravel()])
         # tr = Tr(P) + a P_33 + b <w|P|w> - i c (<w|P|3> + <3|P|w>) with
         # a, b, c functions of q = <w|w>; Wirtinger partials in w and
         # conj(w) of tr, taking both as independent
@@ -307,7 +307,7 @@ class _Point:
         trc = self.tr.conj()[:, None, None]
         s = np.asarray(self.scalings, dtype=float)[:, None, None]
         g = s * (trc * d_w + (trc * d_wbar).conj())
-        return norm * np.ascontiguousarray(np.sum(g, axis=0)[:, _L]), None
+        return (norm * np.sum(g, axis=0)[:, _L]).ravel().view(float)
 
     def _eigh_gradient(self, p):
         """The gradient from each segment's eigenpairs, unnormalized."""
@@ -360,10 +360,12 @@ def gradient(seq: PulseSequence, target: GateTarget,
     Shape (n_segments, 6) without detunings, (n_segments, 9) with them
     (detuning partials appended per segment).
     """
-    g_amps, g_dets = _Point(seq, target_in_number_basis(target, ion),
-                            scalings, optimize_detunings).gradient()
-    g = g_amps.view(float)
-    return np.hstack([g, g_dets]) if optimize_detunings else g
+    n = len(seq.durations)
+    g = _Point(seq, target_in_number_basis(target, ion), scalings,
+               optimize_detunings).gradient()
+    if optimize_detunings:
+        return np.hstack([g[:6 * n].reshape(n, 6), g[6 * n:].reshape(n, 3)])
+    return g[:6 * n].reshape(n, 6)
 
 
 def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
@@ -376,17 +378,9 @@ def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
         return _Point(_pulse(x, cfg), target_n, cfg.robustness_scalings,
                       cfg.optimize_detunings)
 
-    def flat_gradient(point):
-        g_amps, g_dets = point.gradient()
-        # laid out like x: amplitudes as [Re, Im] pairs, then detunings
-        g = g_amps.view(float).ravel()
-        if g_dets is None:
-            return g
-        return np.concatenate([g, g_dets.ravel()])
-
     x = _clip_amplitudes(x0, cfg)
     point = evaluate(x)
-    g = flat_gradient(point)
+    g = point.gradient()
     # fidelity is dimensionless, parameters are rad/s: scale the first step
     # so it moves amplitudes by O(omega_max) per unit gradient
     step = cfg.omega_max**2
@@ -404,7 +398,7 @@ def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
         else:
             break
         x, point = trial, trial_point
-        g = flat_gradient(point)
+        g = point.gradient()
         step *= 1.6
     return x, point.fidelity, iters
 

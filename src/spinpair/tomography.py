@@ -86,13 +86,6 @@ def noise_model(name: str, n_samples: int = 200,
                       n_samples, rng_seed)
 
 
-def measure_p3(state: DensityMatrix, shots: int = 0, rng=None) -> float:
-    """Population on |3> (number basis); shots = 0 returns the exact value."""
-    if state.basis != "number":
-        raise ValueError("measure_p3 expects a number-basis state")
-    return float(_read_p3(state.entries[2, 2].real, shots, rng))
-
-
 def _read_p3(p3, shots: int, rng):
     """Measured |3> populations for the exact populations ``p3`` (a float
     or an array, one binomial draw per entry in order); shots = 0 returns

@@ -280,6 +280,22 @@ def test_composite_zz_outside_criterion_3_is_exit_2(tmp_path, monkeypatch,
     assert report["composite_zz"]["max_distance"] == 2e-9
 
 
+# a relative miss of 2e-6 fails criterion 10; one of 5e-7 passes it
+@pytest.mark.parametrize("check, miss, exit_code", [
+    ("selectivity", 2e-6, EXIT_NO_CONVERGENCE),
+    ("all", 2e-6, EXIT_NO_CONVERGENCE),
+    ("selectivity", 5e-7, EXIT_OK)])
+def test_selectivity_exit_code_follows_criterion_10(tmp_path, monkeypatch,
+                                                     check, miss, exit_code):
+    ratio = 2.5e-4
+    sel = {"relative_error": ratio * (1 + miss), "gamma_ratio": ratio}
+    monkeypatch.setattr(cli, "large_field_selectivity", lambda sys_: sel)
+    code, out = run_cli(tmp_path, "multiion-verify", check)
+    assert code == exit_code
+    report = read_versioned_json(out / f"multiion_{check}.json")
+    assert report["selectivity"] == sel
+
+
 def test_selectivity_deterministic_across_runs(tmp_path):
     _, out1 = run_cli(tmp_path, "multiion-verify", "selectivity", name="s1")
     _, out2 = run_cli(tmp_path, "multiion-verify", "selectivity", name="s2")

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
-from spinpair.ion import I1Y, YB171, mixing_angle
+from spinpair.ion import I1Y, I1Z, I2Z, YB171, mixing_angle
 from spinpair.linalg import expm_unitary
 from spinpair.multiion import (GradientDrive, NormalMode, TwoIonSystem,
                                composite_zz, composite_zz_target,
                                coupling_strength, integrate_spin_motion,
                                large_field_selectivity,
                                motion_disentanglement_check, ms_composite_xx,
-                               ms_interaction, spin_z_total, theta_prime,
+                               ms_interaction, theta_prime,
                                transition_rotation, two_ion_op,
                                uzz_spin_unitary)
 
 TWO_PI = 2 * np.pi
+
+
+def _dense_s(sys):
+    """S = sum_n Omega^n (I^n_1z + I^n_2z) as a 16 x 16 matrix."""
+    return sum(coupling_strength(sys, n) * two_ion_op(I1Z + I2Z, n)
+               for n in range(2))
 
 
 def _small_system(fock=8, delta=TWO_PI * 2e3, k1=1, b_grad=10.0):
@@ -28,13 +34,6 @@ def test_coupling_strength_formula():
             * (YB171.gamma_n + YB171.gamma_e) / 4 * 1e-9)
     assert coupling_strength(sys, 0) == pytest.approx(want, rel=1e-12)
     assert coupling_strength(sys, 1) == pytest.approx(want, rel=1e-12)
-
-
-def test_spin_z_total_diagonal():
-    sys = _small_system()
-    s = spin_z_total(sys)
-    assert np.allclose(s, np.diag(np.diag(s)), atol=1e-15)
-    assert np.max(np.abs(s - s.conj().T)) < 1e-15
 
 
 def test_drive_validation():
@@ -72,7 +71,7 @@ def test_spin_motion_blocks_match_dense_midpoint_product(fock):
     n = 2 * steps_per_period
     dt = sys.drive.tau / n
     a = np.diag(np.sqrt(np.arange(1, fock)), k=1).astype(complex)
-    s = spin_z_total(sys)
+    s = _dense_s(sys)
     dense = np.eye(16 * fock, dtype=complex)
     for j in range(n):
         ph = np.exp(-1j * (sys.drive.delta * (j + 0.5) * dt - sys.drive.phi))
@@ -122,7 +121,7 @@ def _dense_composite_zz(sys):
     def r1y(ion_index, theta):
         return two_ion_op(expm_unitary(I1Y, theta), ion_index)
 
-    s = spin_z_total(sys)
+    s = _dense_s(sys)
     kf = 2 * sys.drive.k1 * np.pi / sys.drive.delta**2
     uzz = expm_unitary(-kf * (s @ s))
     seq = [r1y(1, -np.pi), uzz, r1y(0, np.pi) @ r1y(1, np.pi), uzz,
@@ -142,7 +141,7 @@ def test_composite_zz_matches_dense_eight_factor_product():
 
 def test_uzz_spin_unitary_matches_exponential_of_s_squared():
     for sys in _criterion_3_draws(seed=6, n=20):
-        s = spin_z_total(sys)
+        s = _dense_s(sys)
         kf = 2 * sys.drive.k1 * np.pi / sys.drive.delta**2
         assert np.max(np.abs(uzz_spin_unitary(sys)
                              - expm_unitary(-kf * (s @ s)))) <= 1e-15
@@ -201,6 +200,28 @@ def test_ms_composite_residual_grows_with_field():
         _, dist = ms_composite_xx(0.7, ion=ion)
         taus.append(dist)
     assert all(taus[i] < taus[i + 1] for i in range(len(taus) - 1))
+
+
+def _dense_selectivity(sys):
+    """The selectivity error from 16 x 16 Hamiltonians and SVD norms."""
+    h_full = np.zeros((16, 16), dtype=complex)
+    h_approx = np.zeros((16, 16), dtype=complex)
+    for n in range(2):
+        ion = sys.ions[n]
+        pref = sys.mode.b[n] * sys.drive.b_grad * sys.mode.epsilon
+        h_full += pref * (ion.gamma_n * two_ion_op(I1Z, n)
+                          + ion.gamma_e * two_ion_op(I2Z, n))
+        h_approx += pref * ion.gamma_e * two_ion_op(I2Z, n)
+    return float(np.linalg.norm(h_full - h_approx, 2)
+                 / np.linalg.norm(h_approx, 2))
+
+
+@pytest.mark.parametrize("factor", [1, 2], ids=["default", "doubled-gamma1"])
+def test_large_field_selectivity_matches_dense_svd_form(factor):
+    ions = (YB171.replace(gamma_n=factor * YB171.gamma_n),) * 2
+    sys = TwoIonSystem(ions=ions)
+    sel = large_field_selectivity(sys)
+    assert sel["relative_error"] == _dense_selectivity(sys)
 
 
 def test_large_field_selectivity_value_and_linearity():

@@ -11,8 +11,8 @@ from spinpair.linalg import (ChiMatrix, DensityMatrix, process_fidelity,
                              project_psd, state_fidelity)
 from spinpair.tomography import (T2STAR, NoiseModel, NoisyChannel, PAULI2,
                                  apply_noise, calibrate_sigma, chi_of_unitary,
-                                 measure_p3, noise_model, qpt,
-                                 qpt_input_states, qst, qst_settings)
+                                 noise_model, qpt, qpt_input_states, qst,
+                                 qst_settings)
 
 TWO_PI = 2 * np.pi
 
@@ -68,16 +68,6 @@ def test_ramsey_decay_reaches_1_over_e_at_t2star():
     assert coherence == pytest.approx(np.exp(-1), abs=0.02)
 
 
-def test_measure_p3_exact_and_sampled():
-    rho = DensityMatrix(np.diag([0.1, 0.2, 0.6, 0.1]), basis="number")
-    assert measure_p3(rho) == pytest.approx(0.6, abs=1e-12)
-    rng = np.random.default_rng(0)
-    est = measure_p3(rho, shots=200000, rng=rng)
-    assert est == pytest.approx(0.6, abs=0.01)
-    with pytest.raises(ValueError):
-        measure_p3(DensityMatrix(np.diag([1.0, 0, 0, 0]), basis="spin"))
-
-
 def test_qst_settings_count_and_unitarity():
     settings = qst_settings()
     assert len(settings) == 16
@@ -100,12 +90,11 @@ def test_qst_rejects_spin_basis_state():
 
 @pytest.mark.parametrize("shots", [0, 500])
 def test_qst_batched_settings_match_per_setting_measurements(rng, shots):
-    # reference: rotate and measure one setting at a time through measure_p3
+    # reference: rotate and measure one setting at a time, one draw each
     rho = DensityMatrix(random_density(rng), basis="number")
     ref_rng = np.random.default_rng(11)
-    probs = [measure_p3(DensityMatrix(v @ rho.entries @ v.conj().T,
-                                      basis="number"),
-                        shots=shots, rng=ref_rng)
+    probs = [tomography._read_p3((v @ rho.entries @ v.conj().T)[2, 2].real,
+                                 shots, ref_rng)
              for v in qst_settings()]
     x, *_ = np.linalg.lstsq(tomography._qst_design(), np.array(probs),
                             rcond=None)
