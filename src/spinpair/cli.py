@@ -33,7 +33,7 @@ from .circuits import (MODES, gate_channel, grover_circuit, oracle_gate,
 from .control import (MicrowaveTone, PulseSequence, propagate,
                       propagate_lab_frame, rwa_coefficients)
 from .grape import (ALL_GATES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
-                    standard_gate, synthesize)
+                    objective, standard_gate, synthesize)
 from .ion import IonParams, YB171, eigensystem
 from .linalg import (DensityMatrix, StateVector, process_fidelity,
                      state_fidelity)
@@ -250,6 +250,16 @@ def pulse_path(cfg: RunConfig, gate: str) -> Path:
     return cfg.output_dir / "pulses" / f"{gate.lower()}_{cfg.grape_hash()}.json"
 
 
+# A cached pulse is served only if its stored fidelity is what
+# ``grape.objective`` gives for it now, to this tolerance.
+PULSE_FIDELITY_TOL = 1e-9
+
+# Pulse files parsed and checked in this process, by absolute path:
+# ((st_mtime_ns, st_size), pulse with read-only arrays, converged,
+# fidelity).  A file whose stat changed is read and checked again.
+_PULSES = {}
+
+
 def _synthesize_pulse(cfg: RunConfig, gate: str):
     """Synthesize the gate's pulse and store it in the pulse library."""
     target = _gate_target(gate)
@@ -258,22 +268,58 @@ def _synthesize_pulse(cfg: RunConfig, gate: str):
     log.info("synthesized %s: fidelity %.6f after %d iterations (%.1f s)",
              target.name, result.fidelity, result.iterations,
              time.perf_counter() - t0)
-    write_json(pulse_path(cfg, gate),
-               {"gate": target.name, "pulse": result.sequence.to_json(),
-                "fidelity": result.fidelity, "iterations": result.iterations,
-                "converged": result.converged})
+    path = pulse_path(cfg, gate)
+    write_json(path, {"gate": target.name, "pulse": result.sequence.to_json(),
+                      "fidelity": result.fidelity,
+                      "iterations": result.iterations,
+                      "converged": result.converged})
+    # a rewrite inside one timestamp tick can keep the file's stat
+    _PULSES.pop(path.absolute(), None)
     return target, result
 
 
+def _load_pulse(cfg: RunConfig, gate: str, path: Path, stamp: tuple):
+    """The memo entry of the stored pulse: (stamp, pulse, converged,
+    fidelity); None if the stored fidelity is not the pulse's fidelity
+    under the current code."""
+    data = read_versioned_json(path)
+    seq = PulseSequence.from_json(data["pulse"])
+    f = objective(seq, _gate_target(gate), ion=cfg.ion,
+                  scalings=cfg.grape.robustness_scalings)
+    if not abs(f - data["fidelity"]) <= PULSE_FIDELITY_TOL:
+        log.warning("cached pulse for %s stores fidelity %r but has %r; "
+                    "synthesizing it again: %s", gate, data["fidelity"], f,
+                    path)
+        return None
+    for a in (seq.durations, seq.amps, seq.dets):
+        a.flags.writeable = False
+    return stamp, seq, data["converged"], data["fidelity"]
+
+
 def ensure_pulse(cfg: RunConfig, gate: str):
-    """Load the gate's pulse from the library, synthesizing on a miss."""
+    """Load the gate's pulse from the library, synthesizing on a miss.
+
+    A file is parsed once per process (see ``_PULSES``) and served only if
+    its stored fidelity is ``grape.objective`` at the run's scalings and
+    ion, to ``PULSE_FIDELITY_TOL``; one that fails is a miss and is
+    overwritten.  A pulse stored with ``converged`` false is served with a
+    warning."""
     path = pulse_path(cfg, gate)
-    if path.exists():
-        data = read_versioned_json(path)
-        if not data["converged"]:
-            log.warning("cached pulse for %s did not converge (fidelity %.6f):"
-                        " %s", gate, data["fidelity"], path)
-        return PulseSequence.from_json(data["pulse"]), None
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        st = None
+    if st is not None:
+        key, stamp = path.absolute(), (st.st_mtime_ns, st.st_size)
+        hit = _PULSES.get(key)
+        if hit is None or hit[0] != stamp:
+            hit = _PULSES[key] = _load_pulse(cfg, gate, path, stamp)
+        if hit is not None:
+            _, seq, converged, fidelity = hit
+            if not converged:
+                log.warning("cached pulse for %s did not converge (fidelity "
+                            "%.6f): %s", gate, fidelity, path)
+            return seq, None
     _, result = _synthesize_pulse(cfg, gate)
     return result.sequence, result
 
@@ -303,7 +349,8 @@ def cmd_synthesize(cfg: RunConfig, args) -> int:
     write_json(cfg.output_dir / f"synthesize_{target.name}_report.json",
                {"gate": target.name, "fidelity": result.fidelity,
                 "iterations": result.iterations,
-                "converged": result.converged, "seed": cfg.seed})
+                "converged": result.converged, "seed": cfg.seed,
+                "attempts": [dataclasses.asdict(a) for a in result.attempts]})
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 

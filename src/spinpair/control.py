@@ -60,7 +60,7 @@ import numpy as np
 
 from .ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, IonParams, eigensystem,
                   free_hamiltonian, mapping_operator)
-from .linalg import expm_symmetric, expm_unitary_batch
+from .linalg import expm_symmetric, expm_unitary_batch, real_block
 
 PULSE_SCHEMA_VERSION = 1
 
@@ -198,10 +198,7 @@ def propagate(seq: PulseSequence,
     shape."""
     p = None
     for uk in segment_unitaries(seq, extra_diag=extra_diag):
-        block = np.empty(uk.shape[:-2] + (8, 8))
-        block[..., :4, :4] = block[..., 4:, 4:] = uk.real
-        block[..., 4:, :4] = uk.imag
-        np.negative(uk.imag, out=block[..., :4, 4:])
+        block = real_block(uk)
         # the first segment's product is its own first block column
         p = block[..., :4] if p is None else block @ p
     u = np.empty(p.shape[:-2] + (4, 4), dtype=complex)

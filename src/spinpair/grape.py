@@ -1,21 +1,38 @@
-"""Gradient-ascent pulse synthesis for the two-qubit gate set.
+"""GRAPE pulse synthesis for the two-qubit gate set.
 
 The optimizer works on piecewise-constant rotating-frame controls.  The
 objective is the gate fidelity |Tr(U_target^dag U)|^2 / d^2 averaged over a
 set of amplitude scalings (ensemble robustness against pulse amplitude
 errors).  Gradients are exact, so the analytic gradient matches finite
-differences to solver precision.
+differences to solver precision (Khaneja et al., J. Magn. Reson. 172, 296
+(2005)).
+
+The optimizer is a projected L-BFGS ascent (Nocedal & Wright, Numerical
+Optimization, Alg. 7.4; for GRAPE, de Fouquieres et al., J. Magn. Reson.
+212, 412 (2011)) on y = x / omega_max with memory ``_MEMORY``.  The first
+step, and the first after each history reset, goes along the projected
+gradient with norm ``_FIRST_STEP``; later directions come from the
+two-loop recursion with H_0 = s^T y / y^T y.  An Armijo line search
+(c1 = ``_ARMIJO``, t = 1 halved at most ``_HALVINGS`` times) clips each
+trial to |c| <= omega_max.  A curvature pair is kept only when s^T y > 0,
+and the history resets when its direction does not ascend or its line
+search fails.  At a coupling on the bound the outward radial part of the
+gradient and of the direction is dropped, since the clip would undo it.
 
 The optimizer's flat parameter vector stores each coupling as an
 [Re, Im] pair, so ``_pulse`` views it as a ``control.PulseSequence``
 without copying.  ``_Point`` evaluates one such sequence over all S
 robustness scalings at once: one (S, n, 4, 4) stack of segment
-propagators and one forward loop over the n segments that fills one
-(S, n + 1, 4, 4) array of prefixes.  The gradient is computed on demand,
-only for points the ascent accepts, from that evaluation's propagators
-and prefixes; line-search trials cost one evaluation each.  With P_k the
-product for which Tr(target^dag U) = Tr(P_k U_k), it is one batched
-contraction, returned as one vector laid out like the parameter vector.
+propagators and one (S, n + 1, 4, 4) array of prefixes.  The prefixes are
+built in the real block form of ``control.propagate`` ([Re P; Im P] rows
+times [[Re U, -Im U], [Im U, Re U]]): the segments are first multiplied in
+pairs in one batched product, a loop over the n / 2 pairs fills the even
+prefixes, and one more batched product the odd ones.  The gradient is
+computed on demand, only for points the line search accepts, from that
+evaluation's propagators and prefixes; line-search trials cost one
+evaluation each.  With P_k the product for which Tr(target^dag U) =
+Tr(P_k U_k), it is one batched complex contraction, returned as one vector
+laid out like the parameter vector.
 
 Two kernels give the segment propagators and their derivatives:
 
@@ -57,13 +74,20 @@ import numpy as np
 
 from .control import L1, L2, L3, L4, PulseSequence, control_hamiltonian
 from .ion import IonParams, YB171, mapping_operator, mixing_angle
-from .linalg import kron
+from .linalg import kron, real_block
 
 TWO_PI = 2.0 * np.pi
 
 # Part of the pulse-cache key: raise it whenever a change to this module can
 # change the pulse ``synthesize`` returns for a given configuration.
-SYNTHESIS_VERSION = 3
+SYNTHESIS_VERSION = 4
+
+# The optimizer: curvature pairs kept, the norm (y units) of a step along
+# the gradient, the Armijo constant and the line search's halvings.
+_MEMORY = 10
+_FIRST_STEP = 0.05
+_ARMIJO = 1e-4
+_HALVINGS = 30
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _I2 = np.eye(2, dtype=complex)
@@ -155,12 +179,29 @@ class GrapeConfig:
             raise ValueError("target_fidelity must be in (0, 1]")
 
 
+@dataclass(frozen=True)
+class Attempt:
+    """One seeded optimization inside ``synthesize``.
+
+    ``midpoint_fidelity`` is the fidelity the generalization check read;
+    None when the check needed none: the attempt missed the target, or
+    there is one robustness scaling.
+    """
+    rng_seed: int
+    iterations: int
+    fidelity: float
+    line_search_rejections: int
+    history_resets: int
+    midpoint_fidelity: float | None
+
+
 @dataclass
 class SynthesisResult:
     sequence: PulseSequence
     fidelity: float
-    iterations: int
+    iterations: int          # over all attempts
     converged: bool
+    attempts: tuple          # one Attempt per restart run
 
 
 # --- parameter vector layout -------------------------------------------------
@@ -192,6 +233,8 @@ def _clip_amplitudes(x: np.ndarray, cfg: GrapeConfig) -> np.ndarray:
 _L = [L1, L2, L4]
 # below this r t the closed form's coefficients come from their series
 _SERIES_RT = 1e-4
+# the identity as [Re; Im] rows
+_ID_ROWS = np.vstack([np.eye(4), np.zeros((4, 4))])
 
 
 def _rank2_coefficients(q: np.ndarray, t: np.ndarray):
@@ -261,13 +304,23 @@ class _Point:
             us[..., L3, :] = -1j * c * w.conj()
             us[..., :, L3] = -1j * c * w
             us[..., L3, L3] = 1.0 + a[..., 0]
-        # fw[:, k] = U_k ... U_1 for every scaling (fw[:, 0] = I), in
-        # time order: another order moves the pulses in their last bits
-        self.fw = fw = np.empty((len(scalings), len(self.dts) + 1, 4, 4),
-                                dtype=complex)
-        fw[:, 0] = np.eye(4)
-        for k in range(len(self.dts)):
-            np.matmul(us[:, k], fw[:, k], out=fw[:, k + 1])
+        # fw[:, k] = U_k ... U_1 for every scaling (fw[:, 0] = I), built as
+        # [Re; Im] rows times real blocks, as in control.propagate.  The
+        # segments are multiplied in pairs first, so the sequential loop
+        # fills only the even prefixes; one batched product fills the odd
+        # ones.  Another order moves the pulses in their last bits.
+        n = len(self.dts)
+        m = n // 2
+        blocks = real_block(us)
+        pairs = blocks[:, 1:2 * m:2] @ blocks[:, :2 * m:2]
+        fr = np.empty((len(scalings), n + 1, 8, 4))
+        fr[:, 0] = _ID_ROWS
+        for j in range(m):
+            np.matmul(pairs[:, j], fr[:, 2 * j], out=fr[:, 2 * j + 2])
+        np.matmul(blocks[:, ::2], fr[:, :n:2], out=fr[:, 1::2])
+        self.fw = fw = np.empty((len(scalings), n + 1, 4, 4), dtype=complex)
+        fw.real = fr[..., :4, :]
+        fw.imag = fr[..., 4:, :]
         self.target_h = target_n.conj().T
         self.tr = np.trace(self.target_h @ fw[:, -1], axis1=-2, axis2=-1)
         total_f = 0.0
@@ -368,65 +421,164 @@ def gradient(seq: PulseSequence, target: GateTarget,
     return g[:6 * n].reshape(n, 6)
 
 
-def _ascend(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
-    """Monotone gradient ascent with backtracking line search.
+class _History:
+    """The last ``_MEMORY`` curvature pairs (s, y), in y = x / omega_max
+    units, in preallocated rows; ``order`` lists the rows oldest first."""
 
-    Every point is evaluated once; the gradient is taken only at accepted
-    points, from their evaluation.
+    def __init__(self, n_par: int):
+        self.s = list(np.empty((_MEMORY, n_par)))
+        self.y = list(np.empty((_MEMORY, n_par)))
+        self.rho = [0.0] * _MEMORY
+        self.order = []
+        self.gamma = 1.0
+
+    def push(self, s: np.ndarray, y: np.ndarray, sy: float):
+        row = (self.order.pop(0) if len(self.order) == _MEMORY
+               else len(self.order))
+        self.s[row][:], self.y[row][:] = s, y
+        self.rho[row] = 1.0 / sy
+        self.gamma = sy / float(y @ y)
+        self.order.append(row)
+
+    def two_loop(self, g: np.ndarray) -> np.ndarray:
+        """H g for the inverse-Hessian estimate H of the pairs, with
+        H_0 = s^T y / y^T y of the newest pair (Nocedal & Wright, Alg. 7.4);
+        for the ascent, y is the change in -gradient, so H g ascends."""
+        s, y, rho = self.s, self.y, self.rho
+        q = g.copy()
+        alpha = []
+        for i in reversed(self.order):
+            a = rho[i] * float(s[i] @ q)
+            alpha.append(a)
+            q -= a * y[i]
+        q *= self.gamma
+        for i, a in zip(self.order, reversed(alpha)):
+            q += (a - rho[i] * float(y[i] @ q)) * s[i]
+        return q
+
+
+def _bound_couplings(x: np.ndarray, cfg: GrapeConfig):
+    """Indices and unit phases c / |c| of the couplings on the bound
+    |c| = omega_max, into the complex view of the amplitude block."""
+    c = x[:6 * cfg.n_segments].view(complex)
+    mag = np.abs(c)
+    on = np.flatnonzero(mag >= cfg.omega_max * (1.0 - 1e-12))
+    return on, c[on] / mag[on]
+
+
+def _drop_outward(v: np.ndarray, bound, cfg: GrapeConfig) -> np.ndarray:
+    """``v`` without its outward radial part at the couplings on the bound,
+    where clipping would undo it."""
+    on, phase = bound
+    if on.size == 0:
+        return v
+    v = v.copy()
+    vc = v[:6 * cfg.n_segments].view(complex)
+    vc[on] -= np.maximum((vc[on] * phase.conj()).real, 0.0) * phase
+    return v
+
+
+def _line_search(x: np.ndarray, f: float, d: np.ndarray, slope: float,
+                 evaluate, cfg: GrapeConfig):
+    """Armijo backtracking along ``d`` (y units) from t = 1, halving t at
+    most ``_HALVINGS`` times; each trial is clipped to the bound.  Returns
+    the accepted (x, point), or None, and the number of rejected trials."""
+    t = 1.0
+    for rejected in range(_HALVINGS + 1):
+        trial = _clip_amplitudes(x + (t * cfg.omega_max) * d, cfg)
+        point = evaluate(trial)
+        if point.fidelity >= f + _ARMIJO * t * slope:
+            return (trial, point), rejected
+        t *= 0.5
+    return None, _HALVINGS + 1
+
+
+def _lbfgs(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
+    """Projected L-BFGS ascent of the fidelity from ``x0``.
+
+    Works on y = x / omega_max.  The first step, and the first after each
+    history reset, goes along the projected gradient with norm
+    ``_FIRST_STEP``; the history resets when its direction does not ascend
+    or its line search fails.  Every point is evaluated once; the gradient
+    is taken only at accepted points, from their evaluation.  Returns
+    (x, fidelity, iterations, line-search rejections, history resets).
     """
     def evaluate(x):
         return _Point(_pulse(x, cfg), target_n, cfg.robustness_scalings,
                       cfg.optimize_detunings)
 
+    om = cfg.omega_max
     x = _clip_amplitudes(x0, cfg)
     point = evaluate(x)
-    g = point.gradient()
-    # fidelity is dimensionless, parameters are rad/s: scale the first step
-    # so it moves amplitudes by O(omega_max) per unit gradient
-    step = cfg.omega_max**2
-    iters = 0
+    g = om * point.gradient()
+    history = _History(x.size)
+    iters = rejections = resets = 0
     while point.fidelity < cfg.target_fidelity and iters < cfg.max_iters:
         iters += 1
-        if np.linalg.norm(g) < 1e-12:
-            break
-        for _ in range(40):
-            trial = _clip_amplitudes(x + step * g, cfg)
-            trial_point = evaluate(trial)
-            if trial_point.fidelity > point.fidelity:
+        bound = _bound_couplings(x, cfg)
+        gp = _drop_outward(g, bound, cfg)
+        accepted = None
+        if history.order:
+            d = _drop_outward(history.two_loop(gp), bound, cfg)
+            slope = float(gp @ d)
+            if slope > 0:
+                accepted, rejected = _line_search(x, point.fidelity, d,
+                                                  slope, evaluate, cfg)
+                rejections += rejected
+            if accepted is None:
+                history.order.clear()
+                resets += 1
+        if accepted is None:
+            norm = float(np.linalg.norm(gp))
+            if norm == 0.0:
                 break
-            step *= 0.5
-        else:
-            break
-        x, point = trial, trial_point
-        g = point.gradient()
-        step *= 1.6
-    return x, point.fidelity, iters
+            d = (_FIRST_STEP / norm) * gp
+            accepted, rejected = _line_search(x, point.fidelity, d,
+                                              _FIRST_STEP * norm, evaluate,
+                                              cfg)
+            rejections += rejected
+            if accepted is None:
+                break
+        x_new, point = accepted
+        g_new = om * point.gradient()
+        s = (x_new - x) / om
+        y = g - g_new
+        sy = float(s @ y)
+        if sy > 0:
+            history.push(s, y, sy)
+        x, g = x_new, g_new
+    return x, point.fidelity, iters, rejections, resets
 
 
-def _generalizes(x: np.ndarray, target_n: np.ndarray,
-                 cfg: GrapeConfig) -> bool:
+def _midpoint_fidelity(x: np.ndarray, target_n: np.ndarray,
+                       cfg: GrapeConfig) -> float | None:
+    """Mean fidelity at the midpoints between consecutive robustness
+    scalings; None with a single scaling."""
+    sc = sorted(cfg.robustness_scalings)
+    if len(sc) < 2:
+        return None
+    mids = [(a + b) / 2 for a, b in zip(sc, sc[1:])]
+    return _Point(_pulse(x, cfg), target_n, mids).fidelity
+
+
+def _generalizes(f_mid: float | None, cfg: GrapeConfig) -> bool:
     """Reject solutions that peak only at the sampled scalings.
 
     The ensemble objective can be maximized by pulses whose fidelity
     oscillates in the amplitude scaling and happens to peak at the sample
-    points; checking the midpoints between consecutive scalings filters
-    those out.
+    points; the fidelity ``f_mid`` at the midpoints between consecutive
+    scalings filters those out.
     """
-    sc = sorted(cfg.robustness_scalings)
-    if len(sc) < 2:
-        return True
-    mids = [(a + b) / 2 for a, b in zip(sc, sc[1:])]
-    f_mid = _Point(_pulse(x, cfg), target_n, mids).fidelity
-    return f_mid >= 1.0 - 5.0 * (1.0 - cfg.target_fidelity)
+    return f_mid is None or f_mid >= 1.0 - 5.0 * (1.0 - cfg.target_fidelity)
 
 
 def synthesize(target: GateTarget, cfg: GrapeConfig,
                ion: IonParams = YB171) -> SynthesisResult:
     """Synthesize a pulse sequence implementing a gate target.
 
-    Runs seeded gradient-ascent attempts (restart seeds derived from
-    rng_seed) until one reaches target_fidelity and generalizes across
-    the scaling ensemble; otherwise the best attempt is returned with
+    Runs seeded L-BFGS attempts (restart seeds derived from rng_seed)
+    until one reaches target_fidelity and generalizes across the scaling
+    ensemble; otherwise the best attempt is returned with
     ``converged = False``.  Deterministic for a fixed rng_seed.
     """
     n = cfg.n_segments
@@ -435,19 +587,22 @@ def synthesize(target: GateTarget, cfg: GrapeConfig,
 
     best = None
     converged = False
-    total_iters = 0
-    for attempt in range(cfg.n_restarts):
-        rng = np.random.default_rng(cfg.rng_seed + attempt)
+    attempts = []
+    for seed in range(cfg.rng_seed, cfg.rng_seed + cfg.n_restarts):
+        rng = np.random.default_rng(seed)
         x0 = rng.normal(scale=0.05 * cfg.omega_max, size=n_par)
         if cfg.optimize_detunings:
             x0[6 * n:] = 0.0
-        x, f, iters = _ascend(x0, target_n, cfg)
-        total_iters += iters
+        x, f, iters, rejections, resets = _lbfgs(x0, target_n, cfg)
+        reached = f >= cfg.target_fidelity
+        f_mid = _midpoint_fidelity(x, target_n, cfg) if reached else None
+        attempts.append(Attempt(seed, iters, f, rejections, resets, f_mid))
         if best is None or f > best[1]:
             best = (x, f)
-        if f >= cfg.target_fidelity and _generalizes(x, target_n, cfg):
+        if reached and _generalizes(f_mid, cfg):
             best, converged = (x, f), True
             break
     x, f = best
     return SynthesisResult(sequence=_pulse(x, cfg), fidelity=f,
-                           iterations=total_iters, converged=converged)
+                           iterations=sum(a.iterations for a in attempts),
+                           converged=converged, attempts=tuple(attempts))

@@ -91,6 +91,17 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
+def real_block(u: np.ndarray) -> np.ndarray:
+    """The real form [[Re U, -Im U], [Im U, Re U]] of a (..., n, n) complex
+    stack, shape (..., 2n, 2n): it maps [Re v; Im v] to [Re Uv; Im Uv]."""
+    n = u.shape[-1]
+    block = np.empty(u.shape[:-2] + (2 * n, 2 * n))
+    block[..., :n, :n] = block[..., n:, n:] = u.real
+    block[..., n:, :n] = u.imag
+    np.negative(u.imag, out=block[..., :n, n:])
+    return block
+
+
 def assert_hermitian(h: np.ndarray):
     """Raise unless ``h`` (or every matrix of a stack ``h``) is Hermitian."""
     dev = np.max(np.abs(h - h.conj().swapaxes(-1, -2)))

@@ -15,7 +15,7 @@ def default_grape_config():
 
 @pytest.fixture(scope="session")
 def all_gate_pulses(default_grape_config):
-    """Synthesized pulses for the full ten-gate set (shared, ~1 min)."""
+    """Synthesized pulses for the full ten-gate set (shared, ~0.3 s)."""
     results = {}
     for name in sorted(ALL_GATES + ("cphase",)):
         results[name] = synthesize(standard_gate(name), default_grape_config)

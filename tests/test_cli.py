@@ -129,7 +129,8 @@ def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     {"output_dir": 5}, {"schema_version": True}, {"ion": "b_field"},
     {"multiion": {"mode_omega": 1e7}}, {"ion": {"gamma_e": 0}}],
     ids=["total_time", "robustness_scalings", "n_restarts", "omega_max",
-         "max_iters", "step_size", "robustness_scalings_nonpositive",
+         "max_iters", "unknown_key_step_size",
+         "robustness_scalings_nonpositive",
          "n_segments_float", "n_restarts_float", "rng_seed_float",
          "max_iters_bool", "optimize_detunings_string", "omega_max_bool",
          "robustness_scalings_bool", "seed_float", "seed_bool",
@@ -365,6 +366,85 @@ def test_pulse_from_an_older_synthesis_version_is_not_served(tmp_path,
     fresh = read_versioned_json(pulse_path(cfg, "hadamard1"))
     assert fresh["iterations"] > 0
     assert stale.read_bytes() == before
+
+
+def test_synthesize_report_is_byte_deterministic(tmp_path):
+    reports = []
+    for name in ("a", "b"):
+        code, out = run_cli(tmp_path, "--seed", "3", "synthesize", "cnot12",
+                            config=SMALL, name=name)
+        assert code == EXIT_NO_CONVERGENCE
+        reports.append((out / "synthesize_cnot12_report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    (attempt,) = report["attempts"]
+    assert set(attempt) == {"rng_seed", "iterations", "fidelity",
+                            "line_search_rejections", "history_resets",
+                            "midpoint_fidelity"}
+    assert (attempt["rng_seed"], attempt["iterations"]) == (4, 20)
+    assert attempt["fidelity"] == report["fidelity"]
+    assert attempt["midpoint_fidelity"] is None
+
+
+def _stored_pulse(tmp_path, gate="hadamard1"):
+    """A SMALL-config pulse synthesized into a fresh library."""
+    cfg = RunConfig(SMALL, output_dir=str(tmp_path / "run"))
+    _, result = cli.ensure_pulse(cfg, gate)
+    assert result is not None
+    return cfg, pulse_path(cfg, gate)
+
+
+def test_cached_pulse_is_read_once_and_read_only(tmp_path, monkeypatch):
+    cfg, path = _stored_pulse(tmp_path)
+    reads = []
+    read = cli.read_versioned_json
+
+    def counting(p):
+        reads.append(p)
+        return read(p)
+
+    monkeypatch.setattr(cli, "read_versioned_json", counting)
+    first, hit = cli.ensure_pulse(cfg, "hadamard1")
+    second, _ = cli.ensure_pulse(cfg, "hadamard1")
+    assert hit is None and first is second and reads == [path]
+    assert not first.amps.flags.writeable
+    assert not first.durations.flags.writeable
+    assert not first.dets.flags.writeable
+
+
+def test_pulse_with_a_tampered_fidelity_is_synthesized_again(tmp_path,
+                                                              caplog):
+    cfg, path = _stored_pulse(tmp_path)
+    good = path.read_bytes()
+    data = read_versioned_json(path)
+    data.pop("schema_version")
+    write_json(path, {**data, "fidelity": data["fidelity"] + 2e-9})
+    with caplog.at_level(logging.WARNING, logger="spinpair"):
+        seq, result = cli.ensure_pulse(cfg, "hadamard1")
+    assert result is not None
+    assert any(str(path) in r.getMessage() and "again" in r.getMessage()
+               for r in caplog.records)
+    assert path.read_bytes() == good
+    # a difference within the tolerance is served
+    write_json(path, {**data, "fidelity": data["fidelity"] + 5e-10})
+    assert cli.ensure_pulse(cfg, "hadamard1")[1] is None
+
+
+def test_pulse_rewritten_in_the_same_process_is_not_served_stale(tmp_path):
+    cfg, path = _stored_pulse(tmp_path)
+    old, _ = cli.ensure_pulse(cfg, "hadamard1")
+    # one more, idle, segment: a different pulse with the same fidelity
+    new = PulseSequence(np.append(old.durations, 1e-9),
+                        np.vstack([old.amps, np.zeros((1, 3))]),
+                        np.vstack([old.dets, np.zeros((1, 3))]))
+    data = read_versioned_json(path)
+    data.pop("schema_version")
+    f = cli.objective(new, cli._gate_target("hadamard1"),
+                      scalings=cfg.grape.robustness_scalings)
+    write_json(path, {**data, "pulse": new.to_json(), "fidelity": f})
+    seq, result = cli.ensure_pulse(cfg, "hadamard1")
+    assert result is None
+    assert len(seq.durations) == len(old.durations) + 1
 
 
 @pytest.mark.parametrize("command", ["qst", "qpt"])

@@ -258,3 +258,88 @@ def test_synthesize_with_detunings():
     assert np.all(np.abs(res.sequence.amps) <= cfg.omega_max)
     assert objective(res.sequence, target,
                      scalings=cfg.robustness_scalings) == res.fidelity
+
+
+def test_start_on_the_bound_keeps_ascending(monkeypatch):
+    import spinpair.grape as grape
+    accepted = []
+    search = grape._line_search
+
+    def recording(*args):
+        found, rejected = search(*args)
+        accepted.append(None if found is None else found[1].fidelity)
+        return found, rejected
+
+    monkeypatch.setattr(grape, "_line_search", recording)
+    cfg = GrapeConfig(max_iters=30, n_restarts=1, target_fidelity=1.0)
+    rng = np.random.default_rng(4)
+    phases = np.exp(2j * np.pi * rng.random(3 * cfg.n_segments))
+    x0 = (cfg.omega_max * phases).view(float)
+    target_n = target_in_number_basis(standard_gate("cnot12"), YB171)
+    f0 = _Point(grape._pulse(x0, cfg), target_n,
+                cfg.robustness_scalings).fidelity
+    x, f, iters, _, _ = grape._lbfgs(x0, target_n, cfg)
+    assert iters == cfg.max_iters == len(accepted)
+    assert None not in accepted  # no line search failed
+    assert np.all(np.diff([f0] + accepted) > 0)
+    assert f == accepted[-1] > f0 + 0.5
+    assert np.all(np.abs(x.view(complex)) <= cfg.omega_max * (1 + 1e-12))
+
+
+def test_drop_outward_removes_only_the_outward_radial_part():
+    import spinpair.grape as grape
+    cfg = GrapeConfig(n_segments=2)
+    om = cfg.omega_max
+    c = np.array([om * 1j, -om, 0.5 * om, om * np.exp(0.3j), 0.0, 0.0])
+    x = c.view(float)
+    bound = grape._bound_couplings(x, cfg)
+    assert list(bound[0]) == [0, 1, 3]
+    # outward + tangential, inward + tangential, free, purely outward
+    v = np.array([2j + 3, 0.5 + 1j, 1 + 1j, 4 * np.exp(0.3j), 1j, 1])
+    got = grape._drop_outward(v.view(float), bound, cfg).view(complex)
+    assert np.allclose(got, [3, 0.5 + 1j, 1 + 1j, 0, 1j, 1], atol=1e-15)
+    assert np.array_equal(v.view(float), np.array(
+        [2j + 3, 0.5 + 1j, 1 + 1j, 4 * np.exp(0.3j), 1j, 1]).view(float))
+
+
+@pytest.mark.parametrize("non_ascent", [False, True],
+                         ids=["first-step", "after-reset"])
+def test_gradient_steps_have_norm_first_step(monkeypatch, non_ascent):
+    # the first step, and with a direction that never ascends every step,
+    # goes along the gradient with norm _FIRST_STEP in x / omega_max units
+    import spinpair.grape as grape
+    norms = []
+    search = grape._line_search
+
+    def recording(x, f, d, *args):
+        norms.append(np.linalg.norm(d))
+        return search(x, f, d, *args)
+
+    monkeypatch.setattr(grape, "_line_search", recording)
+    if non_ascent:
+        monkeypatch.setattr(grape._History, "two_loop", lambda self, g: -g)
+    cfg = GrapeConfig(max_iters=10, n_restarts=1, target_fidelity=1.0)
+    res = synthesize(standard_gate("hadamard1"), cfg)
+    assert norms[0] == pytest.approx(grape._FIRST_STEP, rel=1e-12)
+    if non_ascent:
+        # a pair with s^T y <= 0 is not kept, so its next step needs no reset
+        assert 1 <= res.attempts[0].history_resets <= res.iterations - 1
+        assert norms == pytest.approx([grape._FIRST_STEP] * res.iterations,
+                                      rel=1e-12)
+    else:
+        assert res.attempts[0].history_resets == 0
+
+
+def test_attempt_records():
+    cfg = GrapeConfig(n_segments=4, max_iters=20, n_restarts=3,
+                      target_fidelity=1.0, rng_seed=7)
+    res = synthesize(standard_gate("cnot12"), cfg)
+    assert [a.rng_seed for a in res.attempts] == [7, 8, 9]
+    assert sum(a.iterations for a in res.attempts) == res.iterations
+    assert res.fidelity == max(a.fidelity for a in res.attempts)
+    # the midpoint check runs only for an attempt that reached the target
+    assert all(a.midpoint_fidelity is None for a in res.attempts)
+    res = synthesize(standard_gate("identity"), GrapeConfig(max_iters=50))
+    (a,) = res.attempts
+    assert a.fidelity >= 0.999 and 0.99 <= a.midpoint_fidelity <= 1.0
+    assert a.line_search_rejections >= 0 and a.history_resets >= 0
