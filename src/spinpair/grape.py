@@ -20,45 +20,34 @@ search fails.  At a coupling on the bound the outward radial part of the
 gradient and of the direction is dropped, since the clip would undo it.
 
 The optimizer's flat parameter vector stores each coupling as an
-[Re, Im] pair, so ``_pulse`` views it as a ``control.PulseSequence``
-without copying.  ``_Point`` evaluates one such sequence over all S
-robustness scalings at once: one (S, n, 4, 4) stack of segment
-propagators and one (S, n + 1, 4, 4) array of prefixes.  The prefixes are
-built in the real block form of ``control.propagate`` ([Re P; Im P] rows
-times [[Re U, -Im U], [Im U, Re U]]): the segments are first multiplied in
-pairs in one batched product, a loop over the n / 2 pairs fills the even
-prefixes, and one more batched product the odd ones.  The gradient is
-computed on demand, only for points the line search accepts, from that
-evaluation's propagators and prefixes; line-search trials cost one
-evaluation each.  With P_k the product for which Tr(target^dag U) =
-Tr(P_k U_k), it is one batched complex contraction, returned as one vector
-laid out like the parameter vector.
+[Re, Im] pair, which ``_pulse`` views as a pulse without copying.
+``_Point`` evaluates a pulse over all S robustness scalings at once with
+real products only: X enters as RB(X) = [[Re X, -Im X], [Im X, Re X]].
+The gradient, taken only at points the line search accepts, comes from
+d|tr|^2 = Tr(G_k dRB(U_k)), tr = Tr(target^dag U) = Tr(P_k U_k) and
+G_k = RB(conj(tr) P_k): two batched products of the prefixes.
 
-Two kernels give the segment propagators and their derivatives:
+Two kernels give the segment blocks RB(U_k) and their partials:
 
 * Closed form, for a sequence whose detunings are all zero when no
   detuning partial is wanted (``optimize_detunings`` off, the default).
   Each segment Hamiltonian is then H = |3><w| + |w><3|, with
   w = s conj(c31, c32, c34) on levels 1, 2, 4.  H has rank 2 and
   eigenvalues +-|w|, 0, 0 (the Morris-Shore reduction: Morris & Shore,
-  Phys. Rev. A 27, 906 (1983)), so with r = |w| and w^ = w / r,
-  exp(-iHt) = I + (cos rt - 1)(|3><3| + |w^><w^|)
-  - i sin rt (|3><w^| + |w^><3|), and tr = Tr(P_k U_k) depends on w
-  only through P_33, <w|P_k|w> and <w|P_k|3> + <3|P_k|w>.  The Wirtinger
-  derivatives of these give the coupling partials.  Below r t = 1e-4
-  the coefficients come from their Taylor series, so a zero-amplitude
-  segment needs no special case.
+  Phys. Rev. A 27, 906 (1983)), so exp(-iHt) = I + a|3><3| + b|w><w|
+  - i c (|3><w| + |w><3|), a, b, c functions of |w|^2.  RB(U_k) is one
+  product of 43 features of the couplings with a fixed basis; Tr(G_k M)
+  over the basis, one more, gives the partials.
 * Eigendecomposition, for any other point: one batched ``eigh`` of all
   S x n segment Hamiltonians, differentiated through the Loewner
   (divided-difference) formula.  With the Loewner matrix Gamma_k of
-  segment k and A_k = V_k^dag P_k V_k, the array
-  D_k = conj(tr) conj(V_k) (A_k^T o Gamma_k) V_k^T holds
-  conj(tr) dTr/dH_k[i, j] for every matrix element, and every coupling and
-  detuning partial is read off D by indexing.
+  segment k and A_k = V_k^dag conj(tr) P_k V_k, the array
+  D_k = conj(V_k) (A_k^T o Gamma_k) V_k^T holds conj(tr) dTr/dH_k[i, j]
+  for every matrix element, and every coupling and detuning partial is
+  read off D by indexing.
 
 The branch is chosen from the data and the partials asked for; it has no
-option.  ``control.propagate`` takes its own exponentials (real gauge, no
-eigendecomposition) for every sequence.
+option.  ``control.propagate`` has its own exponentials for every pulse.
 
 Gate targets are defined in the spin basis; propagation lives in the
 number basis, so targets are conjugated with the mapping operator before
@@ -68,7 +57,9 @@ comparison.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,7 +71,7 @@ TWO_PI = 2.0 * np.pi
 
 # Part of the pulse-cache key: raise it whenever a change to this module can
 # change the pulse ``synthesize`` returns for a given configuration.
-SYNTHESIS_VERSION = 4
+SYNTHESIS_VERSION = 5
 
 # The optimizer: curvature pairs kept, the norm (y units) of a step along
 # the gradient, the Armijo constant and the line search's halvings.
@@ -207,17 +198,18 @@ class SynthesisResult:
 # --- parameter vector layout -------------------------------------------------
 # Amplitude block: (n_segments, 6) = [Re c31, Im c31, Re c32, Im c32,
 # Re c34, Im c34], i.e. (n_segments, 3) complex; optional detuning block
-# (n_segments, 3) = [d1, d2, d4].
+# (n_segments, 3) = [d1, d2, d4].  Trial points are unchecked ``_Segments``.
+_Segments = namedtuple("_Segments", "durations amps dets")
 
-def _pulse(x: np.ndarray, cfg: GrapeConfig) -> PulseSequence:
-    """The parameter vector as a pulse; its amps (and dets, when optimized)
-    are views of ``x``, not copies."""
+
+def _pulse(x: np.ndarray, cfg: GrapeConfig, kind=PulseSequence):
+    """The parameter vector as a pulse of type ``kind``; its amps (and
+    dets, when optimized) are views of ``x``, not copies."""
     n = cfg.n_segments
     dets = (x[6 * n:].reshape(n, 3) if cfg.optimize_detunings
             else np.zeros((n, 3)))
-    return PulseSequence(durations=np.full(n, cfg.total_time / n),
-                         amps=x[:6 * n].view(complex).reshape(n, 3),
-                         dets=dets)
+    return kind(np.full(n, cfg.total_time / n),
+                x[:6 * n].view(complex).reshape(n, 3), dets)
 
 
 def _clip_amplitudes(x: np.ndarray, cfg: GrapeConfig) -> np.ndarray:
@@ -233,137 +225,143 @@ def _clip_amplitudes(x: np.ndarray, cfg: GrapeConfig) -> np.ndarray:
 _L = [L1, L2, L4]
 # below this r t the closed form's coefficients come from their series
 _SERIES_RT = 1e-4
-# the identity as [Re; Im] rows
-_ID_ROWS = np.vstack([np.eye(4), np.zeros((4, 4))])
 
 
-def _rank2_coefficients(q: np.ndarray, t: np.ndarray):
-    """Coefficients of exp(-iHt) = I + a|3><3| + b|w><w| - i c (|3><w| +
-    |w><3|) for H = |3><w| + |w><3| with q = <w|w>, and the derivatives
-    of a, b, c in q, as ``(a, b, c, da, db, dc)``.
+def _closed_form_basis() -> np.ndarray:
+    """[D, K_1..K_6, Q_11, Q_12, ..., Q_66] with RB(exp(-iHt)) = I + a D +
+    c s K(x) + b s^2 Q(x) at scaling s for couplings x = [Re c31, ...,
+    Im c34], z = conj(c) = sum x_i z_i: D = RB(|3><3|), K_i = RB(-i(|3><z_i|
+    + |z_i><3|)), Q_ij = Q_ji the Hermitian part of RB(|z_i><z_j|)."""
+    z = np.zeros((6, 4), dtype=complex)
+    z[0::2, _L], z[1::2, _L] = np.eye(3), -1j * np.eye(3)
+    e3 = np.eye(4)[L3]
+    k = [-1j * (np.outer(e3, zi.conj()) + np.outer(zi, e3)) for zi in z]
+    zz = [np.outer(zi, zj.conj()) for zi in z for zj in z]
+    return real_block(np.array([np.outer(e3, e3)] + k
+                               + [(m + m.conj().T) / 2 for m in zz]))
 
-    With r = sqrt(q): a = cos rt - 1, b = a / q and c = sin(rt) / r.  All
-    six are entire in q; below r t = _SERIES_RT they are summed from
-    their Taylor series in y = (r t)^2, whose next terms are below 1e-16
-    relative there.
-    """
-    t = np.broadcast_to(t, q.shape)
+
+# blocks are features @ _BASIS; Tr(G M_r) = G_flat @ _BASIS_T
+_BASIS = _closed_form_basis().reshape(43, 64)
+_BASIS_T = _BASIS.reshape(43, 8, 8).swapaxes(1, 2).reshape(43, 64).T.copy()
+
+
+def _rank2_coefficients(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """[a, c, b] of exp(-iHt) = I + a|3><3| + b|w><w| - i c (|3><w| +
+    |w><3|), H = |3><w| + |w><3|, q = <w|w>, then their q derivatives.  With
+    r = sqrt(q), h = r t / 2: a = -2 sin^2 h, c = sin(rt) / r, b = a / q,
+    all entire in q; below r t = _SERIES_RT their Taylor series in
+    y = (r t)^2 is summed, whose next terms are below 1e-16 relative."""
     y = q * t**2
     series = y < _SERIES_RT**2
-    any_series = np.any(series)
+    any_series = series.any()
     if any_series:
         q = np.where(series, 1.0, q)  # finite below; replaced by the series
-    r = np.sqrt(q)
-    a = -2.0 * np.sin(0.5 * r * t) ** 2
-    b = a / q
-    c = np.sin(r * t) / r
-    db = (-0.5 * t * c - b) / q
-    dc = (t * np.cos(r * t) - c) / (2.0 * q)
+    h = np.sqrt(q) * (0.5 * t)
+    sh, ch = np.sin(h), np.cos(h)
+    a, c, b, da, dc, db = out = np.empty((6,) + q.shape)
+    np.multiply(-2.0 * sh, sh, out=a)
+    np.divide(sh * ch * t, h, out=c)
+    np.divide(a, q, out=b)
+    np.multiply(-0.5 * t, c, out=da)
+    np.divide(t * (1.0 + a) - c, 2.0 * q, out=dc)
+    np.divide(da - b, q, out=db)
     if any_series:
-        ys, ts = y[series], t[series]
-        a[series] = ys * (-0.5 + ys / 24.0)
-        b[series] = ts**2 * (-0.5 + ys / 24.0)
-        c[series] = ts * (1.0 - ys / 6.0)
-        db[series] = ts**4 * (1.0 / 24.0 - ys / 360.0)
-        dc[series] = ts**3 * (-1.0 / 6.0 + ys / 60.0)
-    return a, b, c, -0.5 * t * c, db, dc
+        ys, ts = y[series], np.broadcast_to(t, q.shape)[series]
+        cs = ts * (1.0 - ys / 6.0)
+        out[:, series] = [ys * (-0.5 + ys / 24.0), cs,
+                          ts**2 * (-0.5 + ys / 24.0), -0.5 * ts * cs,
+                          ts**3 * (-1.0 / 6.0 + ys / 60.0),
+                          ts**4 * (1.0 / 24.0 - ys / 360.0)]
+    return out
+
+
+@lru_cache(maxsize=16)
+def _target_blocks(target: bytes) -> np.ndarray:
+    """[RB(T), RB(iT)] as (2, 64) for the number-basis target T (its
+    bytes): Tr(T^dag U) = (<RB(T), RB(U)> + i <RB(iT), RB(U)>) / 2."""
+    t = np.frombuffer(target, dtype=complex).reshape(4, 4)
+    tb = real_block(np.stack([t, 1j * t])).reshape(2, 64)
+    tb.flags.writeable = False  # shared by every caller
+    return tb
 
 
 class _Point:
-    """One control point evaluated over all amplitude scalings in one batch.
+    """A pulse over all amplitude scalings in one batch, laid out (segment,
+    scaling, ...): ``fidelity`` is their mean, ``gradient`` reuses the
+    prefixes.  The closed form takes zero detunings whose partials are not
+    wanted, ``eigh`` any other pulse."""
 
-    ``fidelity`` is the mean over the scalings; ``gradient`` reuses this
-    evaluation's segment propagators and forward prefixes.  A sequence
-    with no non-zero detuning, whose detuning partials are not wanted
-    (``detunings`` false), is evaluated in closed form; any other through
-    the segments' eigendecompositions.
-    """
-
-    def __init__(self, seq: PulseSequence, target_n: np.ndarray, scalings,
+    def __init__(self, seq, target_n: np.ndarray, scalings,
                  detunings: bool = False):
-        self.dts = seq.durations
+        self.dts = dts = seq.durations
         self.scalings = scalings
-        if detunings or np.any(seq.dets):
-            self.w = None
-            self.ws, self.vs = np.linalg.eigh(
+        n, n_s = len(dts), len(scalings)
+        if detunings or seq.dets.any():
+            self.x = None
+            ws, vs = self.ws, self.vs = np.linalg.eigh(
                 control_hamiltonian(seq, scale=scalings))
-            self.ew = np.exp(-1j * self.ws * self.dts[:, None])
-            us = ((self.vs * self.ew[..., None, :])
-                  @ self.vs.conj().swapaxes(-1, -2))
+            self.ew = np.exp(-1j * ws * dts[:, None])
+            us = (vs * self.ew[..., None, :]) @ vs.conj().swapaxes(-1, -2)
+            blocks = real_block(us).swapaxes(0, 1)
         else:
-            # H_k = |3><w_k| + |w_k><3|, w_k = s conj(c_k) on levels 1, 2, 4
-            self.w = np.zeros((len(scalings), len(self.dts), 4),
-                              dtype=complex)
-            self.w[..., _L] = np.multiply.outer(scalings, seq.amps.conj())
-            self.coef = _rank2_coefficients(
-                np.sum(np.abs(self.w) ** 2, axis=-1), self.dts)
-            a, b, c = (x[..., None] for x in self.coef[:3])
-            w = self.w
-            us = b[..., None] * w[..., :, None] * w.conj()[..., None, :]
-            us += np.eye(4)
-            us[..., L3, :] = -1j * c * w.conj()
-            us[..., :, L3] = -1j * c * w
-            us[..., L3, L3] = 1.0 + a[..., 0]
-        # fw[:, k] = U_k ... U_1 for every scaling (fw[:, 0] = I), built as
-        # [Re; Im] rows times real blocks, as in control.propagate.  The
-        # segments are multiplied in pairs first, so the sequential loop
-        # fills only the even prefixes; one batched product fills the odd
-        # ones.  Another order moves the pulses in their last bits.
-        n = len(self.dts)
+            # block (k, s) = I + [a, c s, b s^2] @ [D, K(x_k), Q(x_k)]
+            self.x = x = np.reshape(
+                np.ascontiguousarray(seq.amps).view(float), (n, 6))
+            self.xx = xx = (x[:, :, None] * x[:, None, :]).reshape(n, 36)
+            q = np.multiply.outer(xx[:, ::7].sum(axis=1), np.square(scalings))
+            # [a, c s, b s^2] and their partials in |x|^2 = q / s^2
+            coef = _rank2_coefficients(q, dts[:, None]).transpose(1, 2, 0)
+            self.coef = coef * np.power.outer(scalings, (0, 1, 2, 2, 3, 4))
+            mats = np.empty((n, 3, 64))
+            mats[:, 0] = _BASIS[0]
+            np.matmul(x, _BASIS[1:7], out=mats[:, 1])
+            np.matmul(xx, _BASIS[7:], out=mats[:, 2])
+            blocks = self.coef[..., :3] @ mats
+            blocks[..., ::9] += 1.0
+            blocks = blocks.reshape(n, n_s, 8, 8)
+        # fr[k] = RB(U_k ... U_1): the segments in pairs, the even prefixes
+        # in a loop over the pairs, then the odd ones.  Another order moves
+        # the pulses in their last bits.
         m = n // 2
-        blocks = real_block(us)
-        pairs = blocks[:, 1:2 * m:2] @ blocks[:, :2 * m:2]
-        fr = np.empty((len(scalings), n + 1, 8, 4))
-        fr[:, 0] = _ID_ROWS
+        pairs = blocks[1:2 * m:2] @ blocks[:2 * m:2]
+        self.fr = fr = np.empty((n + 1, n_s, 8, 8))
+        fr[0] = np.eye(8)
         for j in range(m):
-            np.matmul(pairs[:, j], fr[:, 2 * j], out=fr[:, 2 * j + 2])
-        np.matmul(blocks[:, ::2], fr[:, :n:2], out=fr[:, 1::2])
-        self.fw = fw = np.empty((len(scalings), n + 1, 4, 4), dtype=complex)
-        fw.real = fr[..., :4, :]
-        fw.imag = fr[..., 4:, :]
-        self.target_h = target_n.conj().T
-        self.tr = np.trace(self.target_h @ fw[:, -1], axis1=-2, axis2=-1)
-        total_f = 0.0
-        for tr in self.tr:
-            total_f += float(np.abs(tr) ** 2) / 16.0
-        self.fidelity = total_f / len(scalings)
+            np.matmul(pairs[j], fr[2 * j], out=fr[2 * j + 2])
+        np.matmul(blocks[::2], fr[:n:2], out=fr[1::2])
+        self.tb = _target_blocks(np.asarray(target_n, complex).tobytes())
+        self.tr = 0.5 * (fr[-1].reshape(n_s, 1, 64) @ self.tb.T)[:, 0]
+        self.fidelity = float(sum((self.tr**2).sum(axis=1) / 16.0)) / n_s
 
     def gradient(self):
         """Gradient of the mean fidelity, laid out like the parameter
         vector: the Re and Im partials of c31, c32, c34 per segment, then
         (eigh kernel only) the d1, d2, d4 partials per segment."""
-        fw = self.fw
-        # tr = Tr(P_k U_k) with P_k = fw[k] T^dag U_N ... U_{k+1}, and
-        # U_N ... U_{k+1} = U fw[k+1]^dag
-        p = (fw[:, :-1] @ (self.target_h @ fw[:, -1:])
-             @ fw[:, 1:].conj().swapaxes(-1, -2))
-        norm = (2.0 / 16.0) / len(self.scalings)
-        if self.w is None:
-            g_amps, g_dets = self._eigh_gradient(p)
+        fr, n, n_s = self.fr, len(self.dts), len(self.scalings)
+        # P_k = F_k T^dag U F_{k+1}^dag for the prefixes F_k, and
+        # G_k = RB(conj(tr) P_k) = RB(F_k) RB(tr T)^T RB(U) RB(F_{k+1})^T
+        ctu = (self.tr @ self.tb).reshape(n_s, 8, 8).swapaxes(-1, -2) @ fr[-1]
+        g = (fr[:-1] @ ctu) @ np.ascontiguousarray(fr[1:].swapaxes(-1, -2))
+        if self.x is None:
+            g_amps, g_dets = self._eigh_gradient(
+                (g[..., :4, :4] + 1j * g[..., 4:, :4]).swapaxes(0, 1))
+            norm = (2.0 / 16.0) / n_s
             return np.concatenate([(norm * g_amps).view(float).ravel(),
                                    (norm * g_dets).ravel()])
-        # tr = Tr(P) + a P_33 + b <w|P|w> - i c (<w|P|3> + <3|P|w>) with
-        # a, b, c functions of q = <w|w>; Wirtinger partials in w and
-        # conj(w) of tr, taking both as independent
-        _, b, c, da, db, dc = (x[..., None] for x in self.coef)
-        w = self.w
-        pw = (p @ w[..., None])[..., 0]                  # P|w>
-        wp = (w.conj()[..., None, :] @ p)[..., 0, :]     # <w|P
-        wpw = np.sum(w.conj() * pw, axis=-1, keepdims=True)
-        e = (da * p[..., L3, L3, None] + db * wpw
-             - 1j * dc * (wp[..., L3, None] + pw[..., L3, None]))
-        d_wbar = w * e + b * pw - 1j * c * p[..., :, L3]
-        d_w = w.conj() * e + b * wp - 1j * c * p[..., L3, :]
-        # c_j = conj(w_j) / s, so the Re c_j and Im c_j partials of |tr|^2
-        # are the real and imaginary parts of
-        # s (conj(tr) dtr/dw_j + tr conj(dtr/dconj(w_j)))
-        trc = self.tr.conj()[:, None, None]
-        s = np.asarray(self.scalings, dtype=float)[:, None, None]
-        g = s * (trc * d_w + (trc * d_wbar).conj())
-        return (norm * np.sum(g, axis=0)[:, _L]).ravel().view(float)
+        # |tr|^2 = const + sum_r phi_r Tr(G_k M_r) to first order, with the
+        # features phi = [a, c s x, b s^2 x_i x_j] and d|x|^2 / dx = 2 x
+        x, xx = self.x, self.xx
+        f = (g.reshape(-1, 64) @ _BASIS_T).reshape(n, n_s, 43)
+        fw = self.coef.swapaxes(1, 2) @ f  # weighted sums over scalings
+        dq = (fw[:, 3, 0] + np.sum(fw[:, 4, 1:7] * x, axis=1)
+              + np.sum(fw[:, 5, 7:] * xx, axis=1))
+        g_x = (2.0 * dq[:, None] * x + fw[:, 1, 1:7]
+               + 2.0 * (fw[:, 2, 7:].reshape(n, 6, 6) @ x[:, :, None])[..., 0])
+        return ((1.0 / 16.0) / n_s) * g_x.ravel()
 
     def _eigh_gradient(self, p):
-        """The gradient from each segment's eigenpairs, unnormalized."""
+        """Unnormalized gradient from the eigenpairs; p = conj(tr) P."""
         ws, vs, ew = self.ws, self.vs, self.ew
         # dU_k = V (gamma o V^dag dH V) V^dag, gamma the divided differences
         # of exp(-i w dt) over each segment's eigenvalue pairs
@@ -376,9 +374,8 @@ class _Point:
                          / np.where(close, 1.0, dw))
         a = vs.conj().swapaxes(-1, -2) @ p @ vs
         # d[s, k, i, j] = conj(tr_s) dtr_s / dH_sk[i, j]
-        d = (self.tr.conj()[:, None, None, None]
-             * (vs.conj() @ (a.swapaxes(-1, -2) * gamma)
-                @ vs.swapaxes(-1, -2)))
+        d = (vs.conj() @ (a.swapaxes(-1, -2) * gamma)
+             @ vs.swapaxes(-1, -2))
         g_amps = np.zeros((len(self.dts), 3), dtype=complex)
         g_dets = np.zeros((len(self.dts), 3))
         for s, d_s in zip(self.scalings, d):
@@ -504,8 +501,11 @@ def _lbfgs(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
     (x, fidelity, iterations, line-search rejections, history resets).
     """
     def evaluate(x):
-        return _Point(_pulse(x, cfg), target_n, cfg.robustness_scalings,
-                      cfg.optimize_detunings)
+        # trial points skip PulseSequence's checks but one
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite segment value")
+        return _Point(_pulse(x, cfg, _Segments), target_n,
+                      cfg.robustness_scalings, cfg.optimize_detunings)
 
     om = cfg.omega_max
     x = _clip_amplitudes(x0, cfg)

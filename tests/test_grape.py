@@ -194,12 +194,48 @@ def test_closed_form_matches_eigh_kernel():
         seq = PulseSequence(np.full(4, 2.5e-5), amps, np.zeros((4, 3)))
         closed = _Point(seq, target_n, cfg.robustness_scalings)
         eigh = _Point(seq, target_n, cfg.robustness_scalings, True)
-        assert closed.w is not None and eigh.w is None
+        assert closed.x is not None and eigh.x is None
         assert abs(closed.fidelity - eigh.fidelity) <= 1e-15
         # the eigh kernel appends the detuning partials
         g = closed.gradient()
         g_eigh = eigh.gradient()[:g.size]
         assert np.max(np.abs(g - g_eigh)) <= 1e-13 * np.max(np.abs(g_eigh))
+
+
+@pytest.mark.parametrize("n", [5, 21])
+def test_closed_form_odd_segments_and_unequal_durations(n):
+    # odd n leaves one segment out of the pairing; the middle segment has
+    # zero amplitude
+    rng = np.random.default_rng(30 + n)
+    cfg = GrapeConfig()
+    target = standard_gate("swap")
+    target_n = target_in_number_basis(target, YB171)
+    durations = (1e-4 / n) * rng.uniform(0.5, 1.5, n)
+    amps = (rng.normal(size=(n, 3))
+            + 1j * rng.normal(size=(n, 3))) * cfg.omega_max / 2
+    amps[n // 2] = 0.0
+    seq = PulseSequence(durations, amps, np.zeros((n, 3)))
+    sc = cfg.robustness_scalings
+    closed = _Point(seq, target_n, sc)
+    eigh = _Point(seq, target_n, sc, True)
+    assert closed.x is not None and eigh.x is None
+    assert abs(closed.fidelity - eigh.fidelity) <= 1e-15
+    g = closed.gradient()
+    g_eigh = eigh.gradient()[:g.size]
+    assert np.max(np.abs(g - g_eigh)) <= 1e-13 * np.max(np.abs(g_eigh))
+    fd = fd_gradient(seq, target, sc, False)
+    assert np.max(np.abs(g.reshape(n, 6) - fd)) / np.max(np.abs(fd)) < 1e-5
+
+
+def test_non_finite_trial_raises(monkeypatch):
+    # a trial point is not checked as a PulseSequence, but a non-finite
+    # control value still stops the synthesis
+    import spinpair.grape as grape
+    monkeypatch.setattr(grape._Point, "gradient",
+                        lambda self: np.full(6 * len(self.dts), np.nan))
+    cfg = GrapeConfig(n_segments=4, max_iters=5, n_restarts=1)
+    with pytest.raises(ValueError, match="non-finite"):
+        synthesize(standard_gate("cnot12"), cfg)
 
 
 def test_detuning_partials_at_zero_detunings_match_finite_differences():
