@@ -16,7 +16,8 @@ import numpy as np
 
 from .control import PulseSequence, propagate
 from .grape import GateTarget, standard_gate, target_in_number_basis
-from .ion import IonParams, YB171, eigensystem
+from .ion import (IonParams, YB171, change_basis, mapping_operator,
+                  mixing_angle)
 from .linalg import DensityMatrix, StateVector
 from .tomography import NoiseModel, NoisyChannel, apply_noise
 
@@ -77,13 +78,13 @@ def run_circuit(c: Circuit, channels: dict,
     circuit.
     """
     psi0 = c.initial_state.amplitudes
-    r = eigensystem(ion).eigenvectors
-    rho_n = r.conj().T @ np.outer(psi0, psi0.conj()) @ r
+    r = mapping_operator(mixing_angle(ion)[1])
+    rho_n = change_basis(np.outer(psi0, psi0.conj()), r)
     us = np.eye(4, dtype=complex)[None]
     for op in c.ops:
         us = channels[op.name].unitaries @ us
     rho = us @ rho_n @ us.conj().transpose(0, 2, 1)
-    return r @ rho @ r.conj().T
+    return change_basis(rho, r)
 
 
 def oracle_gate(marked: int) -> GateTarget:

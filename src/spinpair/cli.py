@@ -34,7 +34,8 @@ from .control import (MicrowaveTone, PulseSequence, propagate,
                       propagate_lab_frame, rwa_coefficients)
 from .grape import (ALL_GATES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
                     objective, standard_gate, synthesize)
-from .ion import IonParams, YB171, eigensystem
+from .ion import (IonParams, YB171, change_basis, eigensystem,
+                  mapping_operator, mixing_angle)
 from .linalg import (DensityMatrix, StateVector, process_fidelity,
                      state_fidelity)
 from .multiion import (COMPOSITE_ZZ_TOL, SELECTIVITY_TOL, GradientDrive,
@@ -363,8 +364,8 @@ def cmd_qst(cfg: RunConfig, args) -> int:
     ideal = _level3_image(_gate_channel(cfg, args.gate, "ideal"))
     fid = state_fidelity(rho_est, ideal)
 
-    r = eigensystem(cfg.ion).eigenvectors
-    rho_spin = r @ rho_est.entries @ r.conj().T
+    rho_spin = change_basis(rho_est.entries,
+                            mapping_operator(mixing_angle(cfg.ion)[1]))
     out = cfg.output_dir
     stem = f"qst_{args.gate.lower()}_{args.mode.replace('+', '_')}"
     write_json(out / f"{stem}.json",
@@ -422,8 +423,8 @@ def cmd_grover(cfg: RunConfig, args) -> int:
                 if len(rates) > 1 else 0.0)
         report["ci95"] = [rate - half, rate + half]
 
-    r = eigensystem(cfg.ion).eigenvectors
-    rho_number = r.conj().T @ final.entries @ r
+    rho_number = change_basis(final.entries,
+                              mapping_operator(mixing_angle(cfg.ion)[1]))
     report["rho_spin"] = _matrix(final.entries)
     report["rho_number"] = _matrix(rho_number)
     write_json(out / f"{stem}.json", report)
@@ -587,12 +588,13 @@ def cmd_rwa_check(cfg: RunConfig, args) -> int:
         rows.append([name, duration, diff])
         log.info("transition %s: max population difference %.2e", name, diff)
 
+    passed = worst <= 1e-3
     write_json(cfg.output_dir / "rwa_check.json",
                {"hyperfine_a_scaled": a_scaled, "cases": results,
-                "max_population_diff": worst, "passed": worst <= 1e-3})
+                "max_population_diff": worst, "passed": passed})
     write_rows_csv(cfg.output_dir / "rwa_check.csv",
                    ["transition", "duration_s", "max_population_diff"], rows)
-    return EXIT_OK if worst <= 1e-3 else EXIT_NO_CONVERGENCE
+    return EXIT_OK if passed else EXIT_NO_CONVERGENCE
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, IonParams, eigensystem,
-                  free_hamiltonian, mapping_operator)
+from .ion import (I1X, I1Y, I1Z, I2X, I2Y, I2Z, IonParams, change_basis,
+                  eigensystem, free_hamiltonian, mapping_operator)
 from .linalg import expm_symmetric, expm_unitary_batch, real_block
 
 PULSE_SCHEMA_VERSION = 1
@@ -298,8 +298,7 @@ def propagate_lab_frame(tones, p: IonParams, duration: float,
     rest = duration - q * period
     if rest > 0:
         u = _lab_product(h0, active, rest, dt) @ u
-    r = mapping_operator(es.theta0)
-    return r.conj().T @ u @ r
+    return change_basis(u, mapping_operator(es.theta0))
 
 
 def _lab_product(h0: np.ndarray, active, duration: float,

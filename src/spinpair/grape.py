@@ -57,14 +57,15 @@ comparison.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .control import L1, L2, L3, L4, PulseSequence, control_hamiltonian
-from .ion import IonParams, YB171, mapping_operator, mixing_angle
+from .ion import (I2, SIGMA_X, IonParams, YB171, change_basis,
+                  mapping_operator, mixing_angle)
 from .linalg import kron, real_block
 
 TWO_PI = 2.0 * np.pi
@@ -81,21 +82,19 @@ _ARMIJO = 1e-4
 _HALVINGS = 30
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_I2 = np.eye(2, dtype=complex)
 _PHASE = np.diag([1, 1j]).astype(complex)
 _T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 # Computational ordering: |uu>, |ud>, |du>, |dd>; qubit-1 (nuclear) is the
 # slow index and |down> is the control-active level.
 _GATES = {
-    "hadamard1": kron(_H, _I2),
-    "hadamard2": kron(_I2, _H),
-    "phase1": kron(_PHASE, _I2),
-    "phase2": kron(_I2, _PHASE),
-    "t1": kron(_T, _I2),
-    "t2": kron(_I2, _T),
-    "cnot12": np.block([[_I2, np.zeros((2, 2))], [np.zeros((2, 2)), _X]]),
+    "hadamard1": kron(_H, I2),
+    "hadamard2": kron(I2, _H),
+    "phase1": kron(_PHASE, I2),
+    "phase2": kron(I2, _PHASE),
+    "t1": kron(_T, I2),
+    "t2": kron(I2, _T),
+    "cnot12": np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), SIGMA_X]]),
     "cnot21": np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                         [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
     "swap": np.array([[1, 0, 0, 0], [0, 0, 1, 0],
@@ -389,9 +388,7 @@ class _Point:
 
 
 def target_in_number_basis(target: GateTarget, ion: IonParams) -> np.ndarray:
-    _, theta0 = mixing_angle(ion)
-    r = mapping_operator(theta0)
-    return r.conj().T @ target.matrix @ r
+    return change_basis(target.matrix, mapping_operator(mixing_angle(ion)[1]))
 
 
 def objective(seq: PulseSequence, target: GateTarget,
@@ -419,38 +416,30 @@ def gradient(seq: PulseSequence, target: GateTarget,
 
 
 class _History:
-    """The last ``_MEMORY`` curvature pairs (s, y), in y = x / omega_max
-    units, in preallocated rows; ``order`` lists the rows oldest first."""
+    """The last ``_MEMORY`` curvature pairs as (s, y, 1 / s^T y), oldest
+    first, in y = x / omega_max units."""
 
-    def __init__(self, n_par: int):
-        self.s = list(np.empty((_MEMORY, n_par)))
-        self.y = list(np.empty((_MEMORY, n_par)))
-        self.rho = [0.0] * _MEMORY
-        self.order = []
+    def __init__(self):
+        self.pairs = deque(maxlen=_MEMORY)
         self.gamma = 1.0
 
     def push(self, s: np.ndarray, y: np.ndarray, sy: float):
-        row = (self.order.pop(0) if len(self.order) == _MEMORY
-               else len(self.order))
-        self.s[row][:], self.y[row][:] = s, y
-        self.rho[row] = 1.0 / sy
+        self.pairs.append((s, y, 1.0 / sy))
         self.gamma = sy / float(y @ y)
-        self.order.append(row)
 
     def two_loop(self, g: np.ndarray) -> np.ndarray:
         """H g for the inverse-Hessian estimate H of the pairs, with
         H_0 = s^T y / y^T y of the newest pair (Nocedal & Wright, Alg. 7.4);
         for the ascent, y is the change in -gradient, so H g ascends."""
-        s, y, rho = self.s, self.y, self.rho
         q = g.copy()
         alpha = []
-        for i in reversed(self.order):
-            a = rho[i] * float(s[i] @ q)
+        for s, y, rho in reversed(self.pairs):
+            a = rho * float(s @ q)
             alpha.append(a)
-            q -= a * y[i]
+            q -= a * y
         q *= self.gamma
-        for i, a in zip(self.order, reversed(alpha)):
-            q += (a - rho[i] * float(y[i] @ q)) * s[i]
+        for (s, y, rho), a in zip(self.pairs, reversed(alpha)):
+            q += (a - rho * float(y @ q)) * s
         return q
 
 
@@ -511,14 +500,14 @@ def _lbfgs(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
     x = _clip_amplitudes(x0, cfg)
     point = evaluate(x)
     g = om * point.gradient()
-    history = _History(x.size)
+    history = _History()
     iters = rejections = resets = 0
     while point.fidelity < cfg.target_fidelity and iters < cfg.max_iters:
         iters += 1
         bound = _bound_couplings(x, cfg)
         gp = _drop_outward(g, bound, cfg)
         accepted = None
-        if history.order:
+        if history.pairs:
             d = _drop_outward(history.two_loop(gp), bound, cfg)
             slope = float(gp @ d)
             if slope > 0:
@@ -526,7 +515,7 @@ def _lbfgs(x0: np.ndarray, target_n: np.ndarray, cfg: GrapeConfig):
                                                   slope, evaluate, cfg)
                 rejections += rejected
             if accepted is None:
-                history.order.clear()
+                history.pairs.clear()
                 resets += 1
         if accepted is None:
             norm = float(np.linalg.norm(gp))

@@ -2,8 +2,10 @@
 
 The spin basis is ordered |uu>, |ud>, |du>, |dd> (nuclear spin first,
 electron spin second).  The number basis |1..4> collects the free-Hamiltonian
-eigenstates; the two are related by the real symmetric mapping operator R.
-Angular momentum operators are Pauli matrices times 1/2.
+eigenstates; the two are related by the mapping operator R, which is real
+and R = R^T = R^-1.  So one map, m -> R m R, takes an operator from either
+basis to the other: ``change_basis`` is that map and the one place that
+applies R.  Angular momentum operators are Pauli matrices times 1/2.
 """
 
 from __future__ import annotations
@@ -111,43 +113,31 @@ def mapping_operator(theta0: float) -> np.ndarray:
 class EigenSystem:
     """Free-Hamiltonian eigensystem labeled by eigenvector structure.
 
-    energies[k] is E_{k+1}; eigenvectors are the columns of the mapping
-    operator (spin basis).  Labels follow the analytic eigenstate forms,
-    not energy ordering.
+    energies[k] is E_{k+1}, of the eigenvector in column k of
+    ``mapping_operator(theta0)`` (spin basis).  Labels follow the analytic
+    eigenstate forms, not energy ordering.
     """
 
     energies: np.ndarray
-    eigenvectors: np.ndarray
     theta0: float
 
 
 def eigensystem(p: IonParams) -> EigenSystem:
     _, theta0 = mixing_angle(p)
-    r = mapping_operator(theta0)
-    h0 = free_hamiltonian(p)
-    energies = np.real(np.diag(r.conj().T @ h0 @ r)).copy()
-    return EigenSystem(energies=energies, eigenvectors=r.copy(),
-                       theta0=theta0)
+    h0 = change_basis(free_hamiltonian(p), mapping_operator(theta0))
+    return EigenSystem(energies=np.real(np.diag(h0)).copy(), theta0=theta0)
 
 
-def change_basis(m, r: np.ndarray, direction: str):
-    """Map an operator or DensityMatrix between number and spin bases.
+def change_basis(m, r: np.ndarray):
+    """R m R: an operator, a (..., d, d) stack or a DensityMatrix from the
+    spin basis to the number basis or back.
 
-    direction "number_to_spin" applies R m R^dag, "spin_to_number"
-    applies R^dag m R.  For two-ion operators pass r = kron(R, R).
+    A DensityMatrix comes back with its basis tag swapped.  For two-ion
+    operators pass r = kron(R, R).
     """
-    if direction not in ("number_to_spin", "spin_to_number"):
-        raise ValueError(f"unknown direction {direction!r}")
-    is_dm = isinstance(m, DensityMatrix)
-    mat = m.entries if is_dm else np.asarray(m, dtype=complex)
-    if mat.shape[0] != r.shape[0]:
-        raise ValueError(f"dimension mismatch: {mat.shape} vs R {r.shape}")
-    if direction == "number_to_spin":
-        out = r @ mat @ r.conj().T
-        tag = "spin"
-    else:
-        out = r.conj().T @ mat @ r
-        tag = "number"
-    if is_dm:
-        return DensityMatrix(out, basis=tag)
-    return out
+    if not isinstance(m, DensityMatrix):
+        return r @ m @ r
+    tag = {"spin": "number", "number": "spin"}.get(m.basis)
+    if tag is None:
+        raise ValueError(f"no basis change from basis {m.basis!r}")
+    return DensityMatrix(r @ m.entries @ r, basis=tag)

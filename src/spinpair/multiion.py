@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ion import (I1X, I1Y, I1Z, I2Z, IonParams, YB171, mapping_operator,
-                  mixing_angle)
+from .ion import (I1X, I1Y, I1Z, I2Z, IonParams, YB171, change_basis,
+                  mapping_operator, mixing_angle)
 from .linalg import (expm_unitary, expm_unitary_batch, kron,
                      phase_min_distance)
 
@@ -368,8 +368,6 @@ def ms_composite_xx(tau: float, ion: IonParams = YB171,
     u = u @ r5
 
     r = mapping_operator(theta0)
-    rr = kron(r, r)
     xx = two_ion_op(I1X, 0) @ two_ion_op(I1X, 1)
-    target_spin = expm_unitary(4 * xx, tau)
-    target_number = rr.conj().T @ target_spin @ rr
+    target_number = change_basis(expm_unitary(4 * xx, tau), kron(r, r))
     return u, phase_min_distance(u, target_number)

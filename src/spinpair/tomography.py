@@ -32,16 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import PulseSequence, propagate
-from .ion import IonParams, YB171, change_basis, mapping_operator, mixing_angle
+from .ion import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, IonParams, YB171,
+                  change_basis, mapping_operator, mixing_angle)
 from .linalg import ChiMatrix, DensityMatrix, expm_unitary, kron, project_psd
 
 SQRT2 = np.sqrt(2.0)
 
 # Two-qubit Pauli operator basis {I,X,Y,Z} x {I,X,Y,Z}, spin basis
-_P1 = [np.eye(2, dtype=complex),
-       np.array([[0, 1], [1, 0]], dtype=complex),
-       np.array([[0, -1j], [1j, 0]], dtype=complex),
-       np.array([[1, 0], [0, -1]], dtype=complex)]
+_P1 = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 PAULI2 = [kron(a, b) for a in _P1 for b in _P1]
 _PAULI2_CONJ = np.conj(PAULI2)  # (16, 4, 4)
 
@@ -225,7 +223,7 @@ def _qpt_inputs(theta0: float) -> tuple:
     inputs = []
     for psi in qpt_input_states():
         rho_s = DensityMatrix(np.outer(psi, psi.conj()), basis="spin")
-        rho = change_basis(rho_s, r, "spin_to_number")
+        rho = change_basis(rho_s, r)
         rho.entries.flags.writeable = False
         inputs.append(rho)
     return tuple(inputs)
@@ -255,9 +253,8 @@ def qpt(process, ion: IonParams = YB171, shots: int = 0,
         if abs(tr - 1.0) > 1e-6:
             warnings.warn(f"process is not trace preserving (Tr={tr})")
         outputs.append(out.entries)
-    r = mapping_operator(theta0)
-    # number_to_spin for all 16 estimates: R rho R^dag
-    spin = r @ _reconstruct(np.array(outputs), shots, rng) @ r.conj().T
+    spin = change_basis(_reconstruct(np.array(outputs), shots, rng),
+                        mapping_operator(theta0))
     s = spin.reshape(16, 16).T @ _qpt_inputs_inverse()
     chi = np.einsum("mac,ndb,abcd->mn", _PAULI2_CONJ, _PAULI2_CONJ,
                     s.reshape(4, 4, 4, 4)) / 16

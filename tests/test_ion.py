@@ -48,7 +48,8 @@ def test_mapping_operator_properties():
 def test_mapping_operator_diagonalizes_h0():
     es = eigensystem(YB171)
     h = free_hamiltonian(YB171)
-    d = es.eigenvectors.conj().T @ h @ es.eigenvectors
+    r = mapping_operator(es.theta0)
+    d = r.conj().T @ h @ r
     off = d - np.diag(np.diag(d))
     assert np.max(np.abs(off)) < 1e-12 * YB171.hyperfine_a
     # energies match an independent dense eigensolve (as multisets)
@@ -74,21 +75,29 @@ def test_eigensystem_zero_field_labels():
 
 
 def test_change_basis_roundtrip(rng):
-    es = eigensystem(YB171)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    back = change_basis(change_basis(m, es.eigenvectors, "spin_to_number"),
-                        es.eigenvectors, "number_to_spin")
-    assert np.allclose(back, m, atol=1e-12)
+    r = mapping_operator(mixing_angle(YB171)[1])
+    m = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    back = change_basis(change_basis(m, r), r)
+    assert back.shape == m.shape
+    assert np.max(np.abs(back - m)) <= 1e-15 * np.max(np.abs(m))
 
 
 def test_change_basis_density_matrix_tags():
-    es = eigensystem(YB171)
-    rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), basis="spin")
-    out = change_basis(rho, es.eigenvectors, "spin_to_number")
-    assert isinstance(out, DensityMatrix)
-    assert out.basis == "number"
-    with pytest.raises(ValueError):
-        change_basis(rho, es.eigenvectors, "sideways")
+    r = mapping_operator(mixing_angle(YB171)[1])
+    entries = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+    out = change_basis(DensityMatrix(entries, basis="spin"), r)
+    assert isinstance(out, DensityMatrix) and out.basis == "number"
+    assert np.allclose(out.entries, r.conj().T @ entries @ r, atol=1e-15)
+    back = change_basis(out, r)
+    assert back.basis == "spin"
+    assert np.allclose(back.entries, entries, atol=1e-15)
+
+
+def test_change_basis_rejects_a_composite_tag():
+    r = mapping_operator(mixing_angle(YB171)[1])
+    rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]), basis="composite")
+    with pytest.raises(ValueError, match="composite"):
+        change_basis(rho, r)
 
 
 def test_ion_params_validation():

@@ -165,9 +165,9 @@ def test_qpt_matches_a_per_output_reconstruction(rng, shots):
     outputs = []
     for psi in qpt_input_states():
         rho_s = DensityMatrix(np.outer(psi, psi.conj()), basis="spin")
-        out = qst(process(change_basis(rho_s, r, "spin_to_number")),
+        out = qst(process(change_basis(rho_s, r)),
                   shots=shots, rng=ref_rng)
-        outputs.append(change_basis(out, r, "number_to_spin").entries)
+        outputs.append(change_basis(out, r).entries)
     s = (np.array(outputs).reshape(16, 16).T
          @ tomography._qpt_inputs_inverse())
     p_conj = np.conj(PAULI2)
