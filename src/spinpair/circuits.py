@@ -88,16 +88,15 @@ def run_circuit(c: Circuit, channels: dict,
 
 
 def oracle_gate(marked: int) -> GateTarget:
-    """Phase oracle: -1 on the marked spin-basis state, +1 elsewhere.
+    """Phase oracle: -1 on the marked spin-basis state, +1 elsewhere; the
+    gate table's ``oracle<marked>``.
 
     ``marked`` is 1-based in the order (uu, ud, du, dd); marked = 2
     reproduces the two-qubit controlled-phase diag(1, -1, 1, 1).
     """
     if marked not in (1, 2, 3, 4):
         raise ValueError("marked must be in 1..4")
-    d = np.ones(4, dtype=complex)
-    d[marked - 1] = -1
-    return GateTarget(name=f"oracle{marked}", matrix=np.diag(d))
+    return standard_gate(f"oracle{marked}")
 
 
 def grover_circuit(marked: int) -> Circuit:

@@ -102,7 +102,12 @@ _GATES = {
     "cphase": np.diag([1, -1, 1, 1]).astype(complex),
     "c00": np.diag([1, -1, -1, -1]).astype(complex),
     "identity": np.eye(4, dtype=complex),
+    # Grover's phase oracles: -1 on the marked state, 1-based in the order
+    # (uu, ud, du, dd); oracle2 is cphase
+    **{f"oracle{m}": np.diag(1 - 2 * np.eye(4, dtype=complex)[m - 1])
+       for m in (1, 2, 3, 4)},
 }
+GATE_NAMES = tuple(sorted(_GATES))
 
 TABLE_GATES = ("cnot12", "cnot21", "phase1", "phase2", "t1", "t2",
                "hadamard1", "hadamard2", "swap")

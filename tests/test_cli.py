@@ -101,7 +101,8 @@ def test_noise_model_next_to_sigmas_is_exit_3(tmp_path, model):
     ["multiion-verify", "ms-sweep", "--draws", "5"],
     ["multiion-verify", "composite-zz", "--tau", "0.3"],
     ["--seed", "-1", "qst", "cphase"], ["noise-sweep", "--duration", "inf"],
-    ["multiion-verify", "ms-sweep", "--tau", "nan"]])
+    ["multiion-verify", "ms-sweep", "--tau", "nan"],
+    ["qst", "oracle02"], ["qpt", "oracle 2"]])
 def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
     code, _ = run_cli(tmp_path, *argv)
     assert code == EXIT_BAD_CONFIG
@@ -392,6 +393,22 @@ def _stored_pulse(tmp_path, gate="hadamard1"):
     _, result = cli.ensure_pulse(cfg, gate)
     assert result is not None
     return cfg, pulse_path(cfg, gate)
+
+
+def test_pulse_for_a_non_default_ion_is_served_from_the_cache(tmp_path,
+                                                             caplog):
+    # synthesis aims at the configured ion, which the load-time fidelity
+    # check uses; a low target lets the 4-segment pulse converge
+    config = {"grape": {**SMALL["grape"], "target_fidelity": 0.9},
+              "ion": {"b_field": 0.01}}
+    cfg = RunConfig(config, output_dir=str(tmp_path / "run"))
+    assert cli.ensure_pulse(cfg, "hadamard1")[1].converged
+    cli._PULSES.clear()
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="spinpair"):
+        _, result = cli.ensure_pulse(cfg, "hadamard1")
+    assert result is None
+    assert caplog.records == []
 
 
 def test_cached_pulse_is_read_once_and_read_only(tmp_path, monkeypatch):

@@ -429,6 +429,21 @@ def test_rwa_check_steps_one_period_per_case(monkeypatch, tmp_path):
         assert np.linalg.norm(u.conj().T @ u - np.eye(4), 2) <= 1e-9
 
 
+def test_rwa_check_fails_on_a_wrong_rwa_map(monkeypatch, tmp_path):
+    # the drives are derived from the map's own couplings, which must not
+    # hide an error in the map
+    rwa = cli.rwa_coefficients
+
+    def scaled(tones, p, duration):
+        seq = rwa(tones, p, duration)
+        return PulseSequence(seq.durations, 1.1 * seq.amps, seq.dets)
+    monkeypatch.setattr(cli, "rwa_coefficients", scaled)
+    assert (cli.main(["--out", str(tmp_path), "rwa-check"])
+            == cli.EXIT_NO_CONVERGENCE)
+    report = cli.read_versioned_json(tmp_path / "rwa_check.json")
+    assert report["passed"] is False
+
+
 def test_lab_frame_rejects_coarse_dt():
     p = _scaled_ion()
     with pytest.raises(ValueError):
