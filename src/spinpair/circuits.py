@@ -1,16 +1,14 @@
 """Circuit-level composition and the two-qubit Grover search.
 
-Circuits are lists of gates acting on the two spin qubits.  Each gate
-runs in one of ``MODES``: its ideal matrix, its synthesized pulse
-sequence simulated in the number basis, or the pulse under quasi-static
-dephasing noise.  ``gate_channel`` is the one place that maps a gate and
-a mode to its number-basis channel; ``run_circuit`` composes the channels
-it is given, one per gate name.
+A circuit is a tuple of gate names, applied in order to |uu> of the two
+spin qubits.  Each gate runs in one of ``MODES``: its ideal matrix, its
+synthesized pulse sequence simulated in the number basis, or the pulse
+under quasi-static dephasing noise.  ``gate_channel`` is the one place
+that maps a gate and a mode to its number-basis channel; ``run_circuit``
+composes the channels it is given, one per gate name.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,31 +16,10 @@ from .control import PulseSequence, propagate
 from .grape import GateTarget, standard_gate, target_in_number_basis
 from .ion import (IonParams, YB171, change_basis, mapping_operator,
                   mixing_angle)
-from .linalg import DensityMatrix, StateVector
+from .linalg import DensityMatrix
 from .tomography import NoiseModel, NoisyChannel, apply_noise
 
 MODES = ("ideal", "pulsed", "pulsed+noise")
-
-
-@dataclass
-class Circuit:
-    """Ordered gate list applied to an initial spin-basis state.
-
-    ``ops`` entries are GateTargets: ideal 4x4 spin-basis unitaries,
-    resolved to channels by name when the circuit runs.
-    """
-
-    ops: list
-    initial_state: StateVector = field(
-        default_factory=lambda: StateVector(
-            np.array([1, 0, 0, 0], dtype=complex), basis="spin"))
-
-    def __post_init__(self):
-        for op in self.ops:
-            if not isinstance(op, GateTarget):
-                raise TypeError(f"circuit op {op!r} is not a GateTarget")
-        if self.initial_state.basis != "spin":
-            raise ValueError("initial_state must be in the spin basis")
 
 
 def gate_channel(gate: GateTarget | PulseSequence, mode: str,
@@ -66,23 +43,23 @@ def gate_channel(gate: GateTarget | PulseSequence, mode: str,
     return apply_noise(gate, noise)
 
 
-def run_circuit(c: Circuit, channels: dict,
+def run_circuit(gates: tuple, channels: dict,
                 ion: IonParams = YB171) -> np.ndarray:
-    """Final spin-basis density matrices of the circuit, one per shot.
+    """Final spin-basis density matrices of the gates applied in order to
+    |uu>, one per shot.
 
-    ``channels`` maps each op's name to its number-basis NoisyChannel
+    ``channels`` maps each gate name to its number-basis NoisyChannel
     (``gate_channel``).  Shape (n_shots, 4, 4), one shot if the channels
-    are noiseless.  Shot k applies shot k of every op's channel: in
+    are noiseless.  Shot k applies shot k of every gate's channel: in
     "pulsed+noise" every channel draws its shifts from the same
     ``noise.rng_seed``, so shot k holds one level shift across the whole
     circuit.
     """
-    psi0 = c.initial_state.amplitudes
     r = mapping_operator(mixing_angle(ion)[1])
-    rho_n = change_basis(np.outer(psi0, psi0.conj()), r)
+    rho_n = change_basis(np.diag([1, 0, 0, 0]).astype(complex), r)
     us = np.eye(4, dtype=complex)[None]
-    for op in c.ops:
-        us = channels[op.name].unitaries @ us
+    for name in gates:
+        us = channels[name].unitaries @ us
     rho = us @ rho_n @ us.conj().transpose(0, 2, 1)
     return change_basis(rho, r)
 
@@ -99,17 +76,16 @@ def oracle_gate(marked: int) -> GateTarget:
     return standard_gate(f"oracle{marked}")
 
 
-def grover_circuit(marked: int) -> Circuit:
-    """One-iteration two-qubit Grover search for the marked spin state.
+def grover_circuit(marked: int) -> tuple:
+    """Gate names of the one-iteration two-qubit Grover search for the
+    marked spin state.
 
     Layout: H on both qubits, phase oracle, H on both, reflection about
     |uu> (C-00 = diag(1, -1, -1, -1)), H on both.  A two-qubit search is
     exact after a single iteration.
     """
-    h1 = standard_gate("hadamard1")
-    h2 = standard_gate("hadamard2")
-    return Circuit(ops=[h1, h2, oracle_gate(marked), h1, h2,
-                        standard_gate("c00"), h1, h2])
+    h = ("hadamard1", "hadamard2")
+    return (*h, oracle_gate(marked).name, *h, "c00", *h)
 
 
 def success_rate(final: DensityMatrix, marked: int) -> float:

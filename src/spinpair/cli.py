@@ -278,20 +278,25 @@ def _synthesize_pulse(cfg: RunConfig, gate: str):
 
 def _load_pulse(cfg: RunConfig, gate: str, path: Path, stamp: tuple):
     """The memo entry of the stored pulse: (stamp, pulse, converged,
-    fidelity); None if the stored fidelity is not the pulse's fidelity
-    under the current code."""
-    data = read_versioned_json(path)
-    seq = PulseSequence.from_json(data["pulse"])
+    fidelity); None if the file cannot be read as a pulse or the stored
+    fidelity is not the pulse's fidelity under the current code."""
+    try:
+        data = read_versioned_json(path)
+        seq = PulseSequence.from_json(data["pulse"])
+        stored, converged = data["fidelity"], data["converged"]
+    except (ValueError, KeyError) as exc:  # JSON syntax, schema, pulse checks
+        log.warning("cached pulse for %s cannot be read (%s); synthesizing "
+                    "it again: %s", gate, exc, path)
+        return None
     f = objective(seq, _gate_target(gate), ion=cfg.ion,
                   scalings=cfg.grape.robustness_scalings)
-    if not abs(f - data["fidelity"]) <= PULSE_FIDELITY_TOL:
+    if not abs(f - stored) <= PULSE_FIDELITY_TOL:
         log.warning("cached pulse for %s stores fidelity %r but has %r; "
-                    "synthesizing it again: %s", gate, data["fidelity"], f,
-                    path)
+                    "synthesizing it again: %s", gate, stored, f, path)
         return None
     for a in (seq.durations, seq.amps, seq.dets):
         a.flags.writeable = False
-    return stamp, seq, data["converged"], data["fidelity"]
+    return stamp, seq, converged, stored
 
 
 def ensure_pulse(cfg: RunConfig, gate: str):
@@ -299,9 +304,9 @@ def ensure_pulse(cfg: RunConfig, gate: str):
 
     A file is parsed once per process (see ``_PULSES``) and served only if
     its stored fidelity is ``grape.objective`` at the run's scalings and
-    ion, to ``PULSE_FIDELITY_TOL``; one that fails is a miss and is
-    overwritten.  A pulse stored with ``converged`` false is served with a
-    warning."""
+    ion, to ``PULSE_FIDELITY_TOL``; one that fails, or cannot be read as a
+    pulse, is a miss and is overwritten.  A pulse stored with
+    ``converged`` false is served with a warning."""
     path = pulse_path(cfg, gate)
     try:
         st = path.stat()
@@ -408,7 +413,7 @@ def cmd_grover(cfg: RunConfig, args) -> int:
     stem = f"grover_{args.marked}_{args.mode.replace('+', '_')}"
 
     channels = {name: _gate_channel(cfg, name, args.mode)
-                for name in dict.fromkeys(op.name for op in circuit.ops)}
+                for name in dict.fromkeys(circuit)}
     shots = run_circuit(circuit, channels, cfg.ion)
     final = DensityMatrix(shots.mean(axis=0), basis="spin")
     rate = success_rate(final, args.marked)

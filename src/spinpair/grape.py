@@ -66,7 +66,7 @@ import numpy as np
 from .control import L1, L2, L3, L4, PulseSequence, control_hamiltonian
 from .ion import (I2, SIGMA_X, IonParams, YB171, change_basis,
                   mapping_operator, mixing_angle)
-from .linalg import kron, real_block
+from .linalg import real_block
 
 TWO_PI = 2.0 * np.pi
 
@@ -88,12 +88,12 @@ _T = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
 # Computational ordering: |uu>, |ud>, |du>, |dd>; qubit-1 (nuclear) is the
 # slow index and |down> is the control-active level.
 _GATES = {
-    "hadamard1": kron(_H, I2),
-    "hadamard2": kron(I2, _H),
-    "phase1": kron(_PHASE, I2),
-    "phase2": kron(I2, _PHASE),
-    "t1": kron(_T, I2),
-    "t2": kron(I2, _T),
+    "hadamard1": np.kron(_H, I2),
+    "hadamard2": np.kron(I2, _H),
+    "phase1": np.kron(_PHASE, I2),
+    "phase2": np.kron(I2, _PHASE),
+    "t1": np.kron(_T, I2),
+    "t2": np.kron(I2, _T),
     "cnot12": np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), SIGMA_X]]),
     "cnot21": np.array([[1, 0, 0, 0], [0, 0, 0, 1],
                         [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),

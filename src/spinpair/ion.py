@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, kron
+from .linalg import DensityMatrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -25,12 +25,12 @@ I2 = np.eye(2, dtype=complex)
 
 # Spin-1/2 operators for the nuclear (1) and electron (2) spin on the
 # 4-dim product space, nuclear factor first.
-I1X = kron(SIGMA_X / 2, I2)
-I1Y = kron(SIGMA_Y / 2, I2)
-I1Z = kron(SIGMA_Z / 2, I2)
-I2X = kron(I2, SIGMA_X / 2)
-I2Y = kron(I2, SIGMA_Y / 2)
-I2Z = kron(I2, SIGMA_Z / 2)
+I1X = np.kron(SIGMA_X / 2, I2)
+I1Y = np.kron(SIGMA_Y / 2, I2)
+I1Z = np.kron(SIGMA_Z / 2, I2)
+I2X = np.kron(I2, SIGMA_X / 2)
+I2Y = np.kron(I2, SIGMA_Y / 2)
+I2Z = np.kron(I2, SIGMA_Z / 2)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def change_basis(m, r: np.ndarray):
     spin basis to the number basis or back.
 
     A DensityMatrix comes back with its basis tag swapped.  For two-ion
-    operators pass r = kron(R, R).
+    operators pass r = np.kron(R, R).
     """
     if not isinstance(m, DensityMatrix):
         return r @ m @ r

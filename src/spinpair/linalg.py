@@ -86,11 +86,6 @@ class ChiMatrix:
             raise ValueError(f"chi matrix must be 16x16, got {self.entries.shape}")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor as the slow index."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def real_block(u: np.ndarray) -> np.ndarray:
     """The real form [[Re U, -Im U], [Im U, Re U]] of a (..., n, n) complex
     stack, shape (..., 2n, 2n): it maps [Re v; Im v] to [Re Uv; Im Uv]."""

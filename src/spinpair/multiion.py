@@ -21,14 +21,13 @@ module constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ion import (I1X, I1Y, I1Z, I2Z, IonParams, YB171, change_basis,
                   mapping_operator, mixing_angle)
-from .linalg import (expm_unitary, expm_unitary_batch, kron,
-                     phase_min_distance)
+from .linalg import expm_unitary, expm_unitary_batch, phase_min_distance
 
 TWO_PI = 2.0 * np.pi
 I4 = np.eye(4, dtype=complex)
@@ -84,7 +83,7 @@ class TwoIonSystem:
 
 def two_ion_op(op: np.ndarray, which: int) -> np.ndarray:
     """Embed a 4-dim single-ion operator: ion index 0 = p (slow), 1 = w."""
-    return kron(op, I4) if which == 0 else kron(I4, op)
+    return np.kron(op, I4) if which == 0 else np.kron(I4, op)
 
 
 # diagonals of the single-ion I_1z, I_2z and I_1z + I_2z
@@ -180,8 +179,7 @@ def motion_disentanglement_check(sys: TwoIonSystem,
     the purity when the Fock cutoff is raised by 4.
     """
     def run(cutoff: int):
-        s = TwoIonSystem(ions=sys.ions, mode=sys.mode, fock_cutoff=cutoff,
-                         drive=sys.drive)
+        s = replace(sys, fock_cutoff=cutoff)
         u = integrate_spin_motion(s, sys.drive.tau, steps_per_period)
         # spin in the uniform superposition, motion in its ground state |0>
         out = u[:, :, 0] / 4.0
@@ -299,17 +297,15 @@ def transition_rotation(j: int, l: int, theta: float,
     return two_ion_op(expm_unitary(transition_op_y(j, l), theta), ion_index)
 
 
-def _rot(j: int, l: int, theta: float, ion_index: int) -> np.ndarray:
-    """exp(+i theta I_{j<->l,y}): the rotation sense of ms_composite_xx."""
-    return transition_rotation(j, l, -theta, ion_index)
-
-
 # the sandwich rotations r1..r4 of ms_composite_xx: per ion a pi/2 pulse
-# on 1<->4 after a pi pulse on 1<->2 or 3<->4; number-basis level indices
+# on 1<->4 after a pi pulse on 1<->2 or 3<->4, in the rotation sense
+# exp(+i theta I_y), hence the negated angles; number-basis level indices
 # are zero-based: levels |1..4> -> 0..3
 _MS_SANDWICHES = tuple(
-    _rot(0, 3, np.pi / 2, 0) @ _rot(*p, np.pi, 0)
-    @ _rot(0, 3, np.pi / 2, 1) @ _rot(*w, np.pi, 1)
+    transition_rotation(0, 3, -np.pi / 2, 0)
+    @ transition_rotation(*p, -np.pi, 0)
+    @ transition_rotation(0, 3, -np.pi / 2, 1)
+    @ transition_rotation(*w, -np.pi, 1)
     for p, w in (((0, 1), (2, 3)), ((2, 3), (0, 1)),
                  ((0, 1), (0, 1)), ((2, 3), (2, 3))))
 
@@ -339,7 +335,7 @@ def ms_composite_xx(tau: float, ion: IonParams = YB171,
 
     Builds the composite in the two-ion number basis and compares it to
     the spin-basis nuclear-nuclear XX gate exp[-4i I^p_1x I^w_1x tau]
-    mapped through kron(R, R).  Returns (composite, phase-minimized
+    mapped through np.kron(R, R).  Returns (composite, phase-minimized
     distance).
 
     Convention notes.  Each sandwich R_i Uxx R_i^dag conjugates the clock
@@ -359,7 +355,8 @@ def ms_composite_xx(tau: float, ion: IonParams = YB171,
     if theta0 is None:
         _, theta0 = mixing_angle(ion)
     thp = theta_prime(theta0)
-    r5 = _rot(1, 2, thp, 0) @ _rot(1, 2, thp, 1)
+    r5 = (transition_rotation(1, 2, -thp, 0)
+          @ transition_rotation(1, 2, -thp, 1))
 
     ums = ms_interaction(4 * tau)
     u = r5.conj().T
@@ -369,5 +366,5 @@ def ms_composite_xx(tau: float, ion: IonParams = YB171,
 
     r = mapping_operator(theta0)
     xx = two_ion_op(I1X, 0) @ two_ion_op(I1X, 1)
-    target_number = change_basis(expm_unitary(4 * xx, tau), kron(r, r))
+    target_number = change_basis(expm_unitary(4 * xx, tau), np.kron(r, r))
     return u, phase_min_distance(u, target_number)

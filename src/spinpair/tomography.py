@@ -34,13 +34,13 @@ import numpy as np
 from .control import PulseSequence, propagate
 from .ion import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, IonParams, YB171,
                   change_basis, mapping_operator, mixing_angle)
-from .linalg import ChiMatrix, DensityMatrix, expm_unitary, kron, project_psd
+from .linalg import ChiMatrix, DensityMatrix, expm_unitary, project_psd
 
 SQRT2 = np.sqrt(2.0)
 
 # Two-qubit Pauli operator basis {I,X,Y,Z} x {I,X,Y,Z}, spin basis
 _P1 = (I2, SIGMA_X, SIGMA_Y, SIGMA_Z)
-PAULI2 = [kron(a, b) for a in _P1 for b in _P1]
+PAULI2 = [np.kron(a, b) for a in _P1 for b in _P1]
 _PAULI2_CONJ = np.conj(PAULI2)  # (16, 4, 4)
 
 

@@ -29,15 +29,15 @@ def hadamard_300us():
     return synthesize(standard_gate("hadamard1"), cfg)
 
 
-def final_state(circuit, mode="ideal", pulses=None, noise=None):
-    """Shot-mean final spin-basis state of ``circuit``.  Each distinct op
-    gets its channel from ``gate_channel``: its GateTarget in mode "ideal",
-    ``pulses[op.name]`` in the pulsed modes."""
-    ops = {op.name: op for op in circuit.ops}
-    channels = {name: gate_channel(op if mode == "ideal" else pulses[name],
-                                   mode, noise)
-                for name, op in ops.items()}
-    return DensityMatrix(run_circuit(circuit, channels).mean(axis=0),
+def final_state(gates, mode="ideal", pulses=None, noise=None):
+    """Shot-mean final spin-basis state of the gate names ``gates`` run
+    from |uu>.  Each distinct gate gets its channel from ``gate_channel``:
+    ``standard_gate(name)`` in mode "ideal", ``pulses[name]`` in the
+    pulsed modes."""
+    channels = {name: gate_channel(standard_gate(name) if mode == "ideal"
+                                   else pulses[name], mode, noise)
+                for name in dict.fromkeys(gates)}
+    return DensityMatrix(run_circuit(gates, channels).mean(axis=0),
                          basis="spin")
 
 

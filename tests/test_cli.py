@@ -102,10 +102,12 @@ def test_noise_model_next_to_sigmas_is_exit_3(tmp_path, model):
     ["multiion-verify", "composite-zz", "--tau", "0.3"],
     ["--seed", "-1", "qst", "cphase"], ["noise-sweep", "--duration", "inf"],
     ["multiion-verify", "ms-sweep", "--tau", "nan"],
-    ["qst", "oracle02"], ["qpt", "oracle 2"]])
+    ["qst", "oracle02"], ["qpt", "oracle 2"],
+    ["grover", "--marked", "5", "--mode", "pulsed"]])
 def test_unknown_gate_or_marked_state_is_exit_3(tmp_path, argv):
-    code, _ = run_cli(tmp_path, *argv)
+    code, out = run_cli(tmp_path, *argv)
     assert code == EXIT_BAD_CONFIG
+    assert not [p for p in out.rglob("*") if p.is_file()]
 
 
 @pytest.mark.parametrize("config", [{"grape": grape} for grape in [
@@ -445,6 +447,28 @@ def test_pulse_with_a_tampered_fidelity_is_synthesized_again(tmp_path,
     # a difference within the tolerance is served
     write_json(path, {**data, "fidelity": data["fidelity"] + 5e-10})
     assert cli.ensure_pulse(cfg, "hadamard1")[1] is None
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no fidelity"])
+def test_unreadable_cached_pulse_is_synthesized_again(tmp_path, caplog,
+                                                      damage):
+    argv = ("qst", "hadamard1", "--mode", "pulsed")
+    code, out = run_cli(tmp_path, *argv, config=SMALL)
+    assert code == EXIT_OK
+    [path] = (out / "pulses").iterdir()
+    good = path.read_bytes()
+    if damage == "truncated":  # as an interrupted write leaves it
+        path.write_bytes(good[:200])
+    else:
+        data = read_versioned_json(path)
+        del data["schema_version"], data["fidelity"]
+        write_json(path, data)
+    with caplog.at_level(logging.WARNING, logger="spinpair"):
+        code, _ = run_cli(tmp_path, *argv, config=SMALL)
+    assert code == EXIT_OK
+    assert any(str(path) in r.getMessage()
+               and "cannot be read" in r.getMessage() for r in caplog.records)
+    assert path.read_bytes() == good
 
 
 def test_pulse_rewritten_in_the_same_process_is_not_served_stale(tmp_path):

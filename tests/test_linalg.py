@@ -7,7 +7,7 @@ from conftest import random_density, random_state, random_unitary
 from spinpair import linalg
 from spinpair.linalg import (BasisMismatchError, DensityMatrix, StateVector,
                              expm_symmetric, expm_unitary, expm_unitary_batch,
-                             gate_fidelity, kron, phase_min_distance,
+                             gate_fidelity, phase_min_distance,
                              project_psd, state_fidelity)
 
 EPS = np.finfo(float).eps
@@ -211,9 +211,3 @@ def test_phase_min_distance_properties(rng):
     d = phase_min_distance(u, v)
     assert d == pytest.approx(phase_min_distance(v, u), abs=1e-10)
     assert 0.0 <= d <= 2.0
-
-
-def test_kron_matches_numpy(rng):
-    a = rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4))
-    assert np.allclose(kron(a, b), np.kron(a, b))
