@@ -23,24 +23,20 @@ import logging
 import math
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
 
+from . import multiion
 from .circuits import (MODES, gate_channel, grover_circuit, run_circuit,
                        success_rate)
-from .control import (L1, L2, L3, L4, MicrowaveTone, PulseSequence,
-                      propagate, propagate_lab_frame, rwa_coefficients)
+from .control import PulseSequence, rwa_check
 from .grape import (GATE_NAMES, SYNTHESIS_VERSION, GateTarget, GrapeConfig,
                     objective, standard_gate, synthesize)
-from .ion import (IonParams, YB171, change_basis, eigensystem,
-                  mapping_operator, mixing_angle)
+from .ion import (IonParams, YB171, change_basis, mapping_operator,
+                  mixing_angle)
 from .linalg import (DensityMatrix, StateVector, process_fidelity,
                      state_fidelity)
-from .multiion import (COMPOSITE_ZZ_TOL, SELECTIVITY_TOL, GradientDrive,
-                       TwoIonSystem, composite_zz, large_field_selectivity,
-                       motion_disentanglement_check, ms_composite_xx)
 from .tomography import (T2STAR, NoiseModel, apply_noise, chi_of_unitary,
                          noise_model, qpt, qst)
 
@@ -63,7 +59,7 @@ class ConfigError(ValueError):
 # Every config key, with its default, is in these tables; a key's kind is
 # the type of its default.  The CLI takes no other key.
 
-_SYSTEM = TwoIonSystem()
+_SYSTEM = multiion.TwoIonSystem()
 CONFIG_SECTIONS = {
     "ion": dataclasses.asdict(YB171),
     "grape": dataclasses.asdict(GrapeConfig()),  # rng_seed: seed + 1
@@ -134,8 +130,8 @@ class RunConfig:
 
         tables = {**CONFIG_SECTIONS, "grape": {**CONFIG_SECTIONS["grape"],
                                                "rng_seed": self.seed + 1}}
-        ion, grape, noise, multiion = (_section(name, top[name], tables[name])
-                                       for name in CONFIG_SECTIONS)
+        ion, grape, noise, two_ion = (_section(name, top[name], tables[name])
+                                      for name in CONFIG_SECTIONS)
         sigmas = ("sigma1", "sigma2", "sigma4")
         explicit = [k for k in sigmas if k in top["noise"]]
         if explicit and (len(explicit) < 3 or "model" in top["noise"]):
@@ -151,14 +147,14 @@ class RunConfig:
                           if explicit else
                           noise_model(noise["model"], noise["n_samples"],
                                       rng_seed=self.seed))
-            self.multiion = TwoIonSystem(
+            self.multiion = multiion.TwoIonSystem(
                 ions=(self.ion, self.ion),
                 mode=dataclasses.replace(_SYSTEM.mode,
-                                         epsilon=multiion["epsilon"]),
-                fock_cutoff=multiion["fock_cutoff"],
+                                         epsilon=two_ion["epsilon"]),
+                fock_cutoff=two_ion["fock_cutoff"],
                 drive=dataclasses.replace(
-                    _SYSTEM.drive, b_grad=multiion["b_grad"],
-                    delta=multiion["delta"], k1=multiion["k1"]))
+                    _SYSTEM.drive, b_grad=two_ion["b_grad"],
+                    delta=two_ion["delta"], k1=two_ion["k1"]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -202,35 +198,33 @@ def write_json(path: Path, payload: dict) -> None:
     log.debug("wrote %s", path)
 
 
-def write_matrix_csv(path: Path, m: np.ndarray, label: str) -> None:
+def _write_csv(path: Path, label: list, header: list, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["schema_version", SCHEMA_VERSION, label])
-        w.writerow(["row", "col", "re", "im"])
-        m = np.asarray(m)
-        for i, (re, im) in enumerate(zip(m.real.tolist(), m.imag.tolist())):
-            for j, (x, y) in enumerate(zip(re, im)):
-                w.writerow([i, j, repr(x), repr(y)])
+        w.writerow(["schema_version", SCHEMA_VERSION, *label])
+        w.writerow(header)
+        w.writerows([repr(x) if isinstance(x, float) else x for x in row]
+                    for row in rows)
     log.debug("wrote %s", path)
+
+
+def write_matrix_csv(path: Path, m: np.ndarray, label: str) -> None:
+    _write_csv(path, [label], ["row", "col", "re", "im"],
+               ([i, j, *xy] for i, row in enumerate(_matrix(m))
+                for j, xy in enumerate(row)))
 
 
 def write_rows_csv(path: Path, header: list, rows: list) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["schema_version", SCHEMA_VERSION])
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
-    log.debug("wrote %s", path)
+    _write_csv(path, [], header, rows)
 
 
 def read_versioned_json(path: Path) -> dict:
     data = json.loads(path.read_text())
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unknown schema_version "
-                          f"{data.get('schema_version')!r}")
+    if not (isinstance(data, dict)
+            and data.get("schema_version") == SCHEMA_VERSION):
+        raise ConfigError(f"{path}: not an object of schema_version "
+                          f"{SCHEMA_VERSION}")
     return data
 
 
@@ -284,7 +278,7 @@ def _load_pulse(cfg: RunConfig, gate: str, path: Path, stamp: tuple):
         data = read_versioned_json(path)
         seq = PulseSequence.from_json(data["pulse"])
         stored, converged = data["fidelity"], data["converged"]
-    except (ValueError, KeyError) as exc:  # JSON syntax, schema, pulse checks
+    except (ValueError, KeyError, TypeError) as exc:  # JSON, schema, types
         log.warning("cached pulse for %s cannot be read (%s); synthesizing "
                     "it again: %s", gate, exc, path)
         return None
@@ -438,74 +432,42 @@ def cmd_grover(cfg: RunConfig, args) -> int:
 
 
 def cmd_multiion_verify(cfg: RunConfig, args) -> int:
-    out = cfg.output_dir
-    rng = np.random.default_rng(cfg.seed)
-    report = {"check": args.check, "seed": cfg.seed}
-    rows = []
-    ok = True
     for flag, uses in (("draws", "composite-zz"), ("tau", "ms-sweep")):
         if getattr(args, flag) is not None and args.check not in (uses, "all"):
             raise ConfigError(f"--{flag} applies only to {uses} and all")
+    draws = multiion.COMPOSITE_ZZ_DRAWS if args.draws is None else args.draws
+    tau = multiion.MS_SWEEP_TAU if args.tau is None else args.tau
+    if draws < 1 or not math.isfinite(tau):
+        raise ConfigError(f"need --draws >= 1 and a finite --tau, got "
+                          f"{draws} and {tau}")
 
+    sections, rows = {}, []
     if args.check in ("composite-zz", "all"):
-        draws = 20 if args.draws is None else args.draws
-        if draws < 1:
-            raise ConfigError(f"--draws must be >= 1, got {draws}")
-        dists = []
-        for _ in range(draws):
-            mode = dataclasses.replace(
-                cfg.multiion.mode, epsilon=float(rng.uniform(0.5e-9, 2e-9)))
-            drive = GradientDrive(b_grad=float(rng.uniform(1.0, 30.0)),
-                                  delta=float(2 * np.pi * rng.uniform(
-                                      0.5e3, 5e3)),
-                                  k1=int(rng.integers(1, 4)))
-            _, dist = composite_zz(
-                dataclasses.replace(cfg.multiion, mode=mode, drive=drive))
-            dists.append(dist)
-            rows.append(["composite-zz", drive.b_grad,
-                         drive.delta, drive.k1, dist])
-        report["composite_zz"] = {"draws": draws,
-                                  "max_distance": max(dists)}
-        ok = ok and max(dists) <= COMPOSITE_ZZ_TOL
-
+        sections["composite_zz"], draw_rows = multiion.composite_zz_check(
+            cfg.multiion, np.random.default_rng(cfg.seed), draws)
+        rows += [["composite-zz", *row] for row in draw_rows]
     if args.check in ("ms-sweep", "all"):
-        tau = 0.7 if args.tau is None else args.tau
-        if not math.isfinite(tau):
-            raise ConfigError(f"--tau must be finite, got {tau}")
-        sweep = []
-        for b0_gauss in (0.0, 2.0, 6.0, 20.0):
-            ion = cfg.ion.replace(b_field=b0_gauss * 1e-4)
-            _, dist = ms_composite_xx(tau, ion=ion)
-            sweep.append({"b0_gauss": b0_gauss, "residual": dist})
-            rows.append(["ms-sweep", b0_gauss, "", "", dist])
-        residuals = [p["residual"] for p in sweep]
-        monotone = all(residuals[i] < residuals[i + 1]
-                       for i in range(len(residuals) - 1))
-        report["ms_sweep"] = {"tau": tau, "points": sweep,
-                              "monotone": monotone,
-                              "floor": residuals[0]}
-        ok = ok and monotone
-
+        sweep = sections["ms_sweep"] = multiion.ms_sweep(cfg.ion, tau)
+        rows += [["ms-sweep", p["b0_gauss"], "", "", p["residual"]]
+                 for p in sweep["points"]]
     if args.check in ("disentanglement", "all"):
-        rep = motion_disentanglement_check(cfg.multiion)
-        report["disentanglement"] = {
-            "spin_purity": rep.spin_purity, "residual": rep.residual,
-            "cutoff_change": rep.cutoff_change, "converged": rep.converged}
+        rep = multiion.motion_disentanglement_check(cfg.multiion)
+        sections["disentanglement"] = dict(dataclasses.asdict(rep),
+                                           converged=rep.converged)
         rows.append(["disentanglement", rep.spin_purity, rep.residual,
                      rep.cutoff_change, int(rep.converged)])
-        ok = ok and rep.converged
-
     if args.check in ("selectivity", "all"):
-        sel = large_field_selectivity(cfg.multiion)
-        report["selectivity"] = sel
+        sel = sections["selectivity"] = multiion.large_field_selectivity(
+            cfg.multiion)
         rows.append(["selectivity", sel["relative_error"],
                      sel["gamma_ratio"], "", ""])
-        ok = ok and (abs(sel["relative_error"] - sel["gamma_ratio"])
-                     <= SELECTIVITY_TOL * sel["gamma_ratio"])
 
-    write_json(out / f"multiion_{args.check}.json", report)
-    write_rows_csv(out / f"multiion_{args.check}.csv",
+    write_json(cfg.output_dir / f"multiion_{args.check}.json",
+               {"check": args.check, "seed": cfg.seed, **sections})
+    write_rows_csv(cfg.output_dir / f"multiion_{args.check}.csv",
                    ["check", "a", "b", "c", "value"], rows)
+    # disentanglement's verdict is its ``converged``
+    ok = all(s.get("passed", s.get("converged")) for s in sections.values())
     return EXIT_OK if ok else EXIT_NO_CONVERGENCE
 
 
@@ -521,76 +483,32 @@ def cmd_noise_sweep(cfg: RunConfig, args) -> int:
     seq, _ = ensure_pulse(cfg_long, args.gate)
     ideal = _level3_image(gate_channel(seq, "pulsed"))
 
-    rows = []
     fids = {}
     for name in T2STAR:
         model = noise_model(name, cfg.noise.n_samples, rng_seed=cfg.seed)
-        out_rho = apply_noise(seq, model)(_LEVEL3)
-        fids[name] = state_fidelity(out_rho, ideal)
-        rows.append([name, args.duration, fids[name]])
+        fids[name] = state_fidelity(apply_noise(seq, model)(_LEVEL3), ideal)
         log.info("%s noise: state fidelity %.4f", name, fids[name])
 
-    gap = fids["triggered"] - fids["free"]
     write_json(cfg.output_dir / "noise_sweep.json",
                {"gate": args.gate.lower(), "duration": args.duration,
                 "seed": cfg.seed, "fidelity_free": fids["free"],
-                "fidelity_triggered": fids["triggered"], "gap": gap})
+                "fidelity_triggered": fids["triggered"],
+                "gap": fids["triggered"] - fids["free"]})
     write_rows_csv(cfg.output_dir / "noise_sweep.csv",
-                   ["model", "duration_s", "state_fidelity"], rows)
+                   ["model", "duration_s", "state_fidelity"],
+                   [[name, args.duration, f] for name, f in fids.items()])
     return EXIT_OK
 
 
 def cmd_rwa_check(cfg: RunConfig, args) -> int:
     """Lab-frame vs rotating-frame pi pulses at a scaled hyperfine constant."""
-    a_scaled = 2 * np.pi * 10e6
-    scale = a_scaled / cfg.ion.hyperfine_a
-    p = cfg.ion.replace(hyperfine_a=a_scaled,
-                        b_field=cfg.ion.b_field * scale)
-    e = eigensystem(p).energies
-    resonances = e[[L1, L2, L4]] - e[L3]  # E1 - E3, E2 - E3, E4 - E3
-    # (transition, tone, field axis, Rabi rate); the transverse rates keep
-    # cross-driving below 1e-3
-    cases = (("3-1", 0, "bx", 2 * np.pi * 250),
-             ("3-2", 1, "bz", 2 * np.pi * 500),
-             ("3-4", 2, "bx", 2 * np.pi * 250))
-    # each coupling depends on its own tone only, so one call at unit field
-    # gives all three (the RWA-regime warning does not apply to a read-out)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        unit = rwa_coefficients([MicrowaveTone(**{axis: 1.0})
-                                 for _, _, axis, _ in cases], p, 1.0).amps[0]
-
-    fmax = max(abs(x) for x in np.subtract.outer(e, e).ravel())
-    dt = (2 * np.pi / fmax) / 60
-    rows, results = [], []
-    worst = 0.0
-    for name, k, axis, rabi in cases:
-        tones = [MicrowaveTone() for _ in cases]
-        tones[k] = MicrowaveTone(**{axis: rabi / abs(unit[k]),
-                                    "omega": resonances[k]})
-        duration = np.pi / (2 * rabi)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            seq = rwa_coefficients(tones, p, duration)
-        u_rot = propagate(seq)
-        u_lab = propagate_lab_frame(tones, p, duration, dt)
-        pops_rot = np.abs(u_rot[:, 2]) ** 2
-        pops_lab = np.abs(u_lab[:, 2]) ** 2
-        diff = float(np.max(np.abs(pops_rot - pops_lab)))
-        worst = max(worst, diff)
-        results.append({"transition": name, "max_population_diff": diff,
-                        "populations_rot": [float(x) for x in pops_rot],
-                        "populations_lab": [float(x) for x in pops_lab]})
-        rows.append([name, duration, diff])
-        log.info("transition %s: max population difference %.2e", name, diff)
-
-    passed = worst <= 1e-3
-    write_json(cfg.output_dir / "rwa_check.json",
-               {"hyperfine_a_scaled": a_scaled, "cases": results,
-                "max_population_diff": worst, "passed": passed})
+    report, rows = rwa_check(cfg.ion)
+    log.info("rwa-check: max population difference %.2e",
+             report["max_population_diff"])
+    write_json(cfg.output_dir / "rwa_check.json", report)
     write_rows_csv(cfg.output_dir / "rwa_check.csv",
                    ["transition", "duration_s", "max_population_diff"], rows)
-    return EXIT_OK if passed else EXIT_NO_CONVERGENCE
+    return EXIT_OK if report["passed"] else EXIT_NO_CONVERGENCE
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +549,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=["composite-zz", "ms-sweep",
                                      "disentanglement", "selectivity", "all"])
     p.add_argument("--draws", type=int,
-                   help="composite-zz random drive draws (default 20)")
+                   help="composite-zz random drive draws (default "
+                        f"{multiion.COMPOSITE_ZZ_DRAWS})")
     p.add_argument("--tau", type=float,
-                   help="ms-sweep MS composite target angle (default 0.7)")
+                   help="ms-sweep MS composite target angle (default "
+                        f"{multiion.MS_SWEEP_TAU})")
     p.set_defaults(func=cmd_multiion_verify)
 
     p = sub.add_parser("noise-sweep",

@@ -64,11 +64,9 @@ from functools import lru_cache
 import numpy as np
 
 from .control import L1, L2, L3, L4, PulseSequence, control_hamiltonian
-from .ion import (I2, SIGMA_X, IonParams, YB171, change_basis,
+from .ion import (I2, SIGMA_X, TWO_PI, IonParams, YB171, change_basis,
                   mapping_operator, mixing_angle)
 from .linalg import real_block
-
-TWO_PI = 2.0 * np.pi
 
 # Part of the pulse-cache key: raise it whenever a change to this module can
 # change the pulse ``synthesize`` returns for a given configuration.

@@ -55,10 +55,6 @@ class IonParams:
         if self.b_field < 0:
             raise ValueError("b_field must be non-negative")
 
-    def replace(self, **kw) -> "IonParams":
-        from dataclasses import replace
-        return replace(self, **kw)
-
 
 # 171Yb+ constants: A ~ 2pi x 12.6 GHz, gamma_n/2pi ~ 7.5e6 Hz/T,
 # gamma_e/2pi ~ -2.8e10 Hz/T, B0 ~ 6 Gs.

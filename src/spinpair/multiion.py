@@ -25,11 +25,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ion import (I1X, I1Y, I1Z, I2Z, IonParams, YB171, change_basis,
+from .ion import (I1X, I1Y, I1Z, I2Z, TWO_PI, IonParams, YB171, change_basis,
                   mapping_operator, mixing_angle)
 from .linalg import expm_unitary, expm_unitary_batch, phase_min_distance
 
-TWO_PI = 2.0 * np.pi
 I4 = np.eye(4, dtype=complex)
 I16 = np.eye(16, dtype=complex)
 
@@ -202,8 +201,11 @@ def motion_disentanglement_check(sys: TwoIonSystem,
 # --- composite ZZ sequence ---------------------------------------------------
 
 # criterion 3: the largest distance of the echo from its closed-form target
+# over COMPOSITE_ZZ_DRAWS random drives
 COMPOSITE_ZZ_TOL = 1e-9
-# criterion 10: the relative tolerance of the selectivity on gamma_n/gamma_e
+COMPOSITE_ZZ_DRAWS = 20
+# criterion 10: the relative tolerance of the selectivity on ion p's
+# |gamma_n / gamma_e|
 SELECTIVITY_TOL = 1e-6
 
 
@@ -250,6 +252,23 @@ def composite_zz(sys: TwoIonSystem) -> tuple[np.ndarray, float]:
                     / np.sqrt(16))
 
 
+def composite_zz_check(sys: TwoIonSystem, rng: np.random.Generator,
+                       draws: int = COMPOSITE_ZZ_DRAWS) -> tuple[dict, list]:
+    """Criterion 3 over ``draws`` random modes and drives from ``rng``:
+    the report section and one (b_grad, delta, k1, distance) row per draw."""
+    rows = []
+    for _ in range(draws):
+        mode = replace(sys.mode, epsilon=float(rng.uniform(0.5e-9, 2e-9)))
+        drive = GradientDrive(b_grad=float(rng.uniform(1.0, 30.0)),
+                              delta=float(TWO_PI * rng.uniform(0.5e3, 5e3)),
+                              k1=int(rng.integers(1, 4)))
+        _, dist = composite_zz(replace(sys, mode=mode, drive=drive))
+        rows.append((drive.b_grad, drive.delta, drive.k1, dist))
+    worst = max(row[-1] for row in rows)
+    return {"draws": draws, "max_distance": worst, "tol": COMPOSITE_ZZ_TOL,
+            "passed": worst <= COMPOSITE_ZZ_TOL}, rows
+
+
 # --- large-field selectivity -------------------------------------------------
 
 def large_field_selectivity(sys: TwoIonSystem) -> dict:
@@ -271,7 +290,9 @@ def large_field_selectivity(sys: TwoIonSystem) -> dict:
     den = np.max(np.abs(h_approx))
     rel = float(num / den) if den > 0 else 0.0
     gamma_ratio = abs(sys.ions[0].gamma_n / sys.ions[0].gamma_e)
-    return {"relative_error": rel, "gamma_ratio": gamma_ratio}
+    return {"relative_error": rel, "gamma_ratio": gamma_ratio,
+            "rel_tol": SELECTIVITY_TOL,
+            "passed": abs(rel - gamma_ratio) <= SELECTIVITY_TOL * gamma_ratio}
 
 
 # --- laser-based MS composite ------------------------------------------------
@@ -368,3 +389,22 @@ def ms_composite_xx(tau: float, ion: IonParams = YB171,
     xx = two_ion_op(I1X, 0) @ two_ion_op(I1X, 1)
     target_number = change_basis(expm_unitary(4 * xx, tau), np.kron(r, r))
     return u, phase_min_distance(u, target_number)
+
+
+# criterion 5: at tau = MS_SWEEP_TAU the residual rises strictly over the
+# fields, from a floor (its value at 0 G) of at most MS_FLOOR_TOL
+MS_SWEEP_GAUSS = (0.0, 2.0, 6.0, 20.0)
+MS_SWEEP_TAU = 0.7
+MS_FLOOR_TOL = 1e-3
+
+
+def ms_sweep(ion: IonParams = YB171, tau: float = MS_SWEEP_TAU) -> dict:
+    """Criterion 5's report section for ``ion`` at each field."""
+    residuals = [ms_composite_xx(tau, ion=replace(ion, b_field=b0 * 1e-4))[1]
+                 for b0 in MS_SWEEP_GAUSS]
+    monotone = all(a < b for a, b in zip(residuals, residuals[1:]))
+    return {"tau": tau, "monotone": monotone,
+            "points": [{"b0_gauss": b0, "residual": r}
+                       for b0, r in zip(MS_SWEEP_GAUSS, residuals)],
+            "floor": residuals[0], "floor_tol": MS_FLOOR_TOL,
+            "passed": monotone and residuals[0] <= MS_FLOOR_TOL}

@@ -5,6 +5,8 @@ the pass/fail record.  Measured values are printed so they appear in the
 captured output on failure.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,10 @@ from spinpair.grape import (ALL_GATES, gradient, standard_gate,
 from spinpair.ion import YB171
 from spinpair.linalg import DensityMatrix, process_fidelity, state_fidelity
 from spinpair.multiion import (GradientDrive, NormalMode, TwoIonSystem,
-                               composite_zz, large_field_selectivity,
-                               motion_disentanglement_check, ms_composite_xx)
+                               composite_zz, composite_zz_check,
+                               large_field_selectivity,
+                               motion_disentanglement_check, ms_composite_xx,
+                               ms_sweep)
 from spinpair.tomography import (apply_noise, chi_of_unitary, noise_model,
                                  qpt, qst)
 
@@ -53,7 +57,7 @@ def test_criterion_02_grover_search(all_gate_pulses):
 
 def test_criterion_03_composite_zz_identity():
     rng = np.random.default_rng(7)
-    worst = 0.0
+    dists = []
     for _ in range(20):
         sys = TwoIonSystem(
             mode=NormalMode(omega=TWO_PI * 2e6,
@@ -64,10 +68,17 @@ def test_criterion_03_composite_zz_identity():
                 delta=TWO_PI * float(rng.uniform(0.5e3, 5e3)),
                 k1=int(rng.integers(1, 4))))
         _, dist = composite_zz(sys)
-        worst = max(worst, dist)
+        dists.append(dist)
+    worst = max(dists)
     print(f"criterion 3: worst composite-ZZ distance {worst:.3e} "
           "(threshold 1e-9) over 20 draws")
     assert worst <= 1e-9
+    # the library check draws these drives from the same generator
+    report, rows = composite_zz_check(TwoIonSystem(fock_cutoff=8),
+                                      np.random.default_rng(7))
+    assert [row[-1] for row in rows] == dists
+    assert report["max_distance"] == worst
+    assert report["passed"] is (worst <= 1e-9)
 
 
 def test_criterion_04_spin_motion_disentanglement():
@@ -87,12 +98,19 @@ def test_criterion_05_ms_composite_floor_and_monotonicity():
     assert floor <= 1e-3
     residuals = [floor]
     for b0_gauss in (2.0, 6.0, 20.0):
-        ion = YB171.replace(b_field=b0_gauss * 1e-4)
+        ion = replace(YB171, b_field=b0_gauss * 1e-4)
         _, dist = ms_composite_xx(0.7, ion=ion)
         residuals.append(dist)
         print(f"  B0 = {b0_gauss:4.1f} G: residual {dist:.3e}")
     assert all(residuals[i] < residuals[i + 1]
                for i in range(len(residuals) - 1))
+    # the library check sweeps the same fields from its floor at 0 G
+    report = ms_sweep(YB171, 0.7)
+    swept = [p["residual"] for p in report["points"]]
+    assert swept[1:] == residuals[1:]
+    assert report["passed"] is (swept[0] <= 1e-3 and all(
+        swept[i] < swept[i + 1] for i in range(len(swept) - 1)))
+    assert report["passed"]
 
 
 def test_criterion_06_noise_model_ordering(hadamard_300us):
@@ -173,6 +191,7 @@ def test_criterion_09_lab_frame_vs_rwa(tmp_path):
           f"{worst:.3e} (threshold 1e-3)")
     assert code == 0
     assert worst <= 1e-3
+    assert report["passed"] is (worst <= 1e-3)
 
 
 def test_criterion_10_selectivity_scaling():
@@ -182,8 +201,10 @@ def test_criterion_10_selectivity_scaling():
     print(f"criterion 10: selectivity error {sel['relative_error']:.3e} "
           f"vs |gamma1/gamma2| = {ratio:.3e}")
     assert sel["relative_error"] == pytest.approx(ratio, rel=1e-6)
+    assert sel["passed"] is (
+        sel["relative_error"] == pytest.approx(ratio, rel=1e-6))
     doubled = TwoIonSystem(
-        ions=(YB171.replace(gamma_n=2 * YB171.gamma_n),) * 2,
+        ions=(replace(YB171, gamma_n=2 * YB171.gamma_n),) * 2,
         mode=sys.mode, fock_cutoff=sys.fock_cutoff, drive=sys.drive)
     sel2 = large_field_selectivity(doubled)
     print(f"  doubled gamma1: error {sel2['relative_error']:.3e} "

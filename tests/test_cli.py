@@ -1,6 +1,7 @@
 """Command-line interface: config handling, artifacts, determinism."""
 
 import argparse
+import dataclasses
 import gc
 import json
 import logging
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import spinpair
-from spinpair import cli
+from spinpair import cli, multiion
 from spinpair.cli import (EXIT_BAD_CONFIG, EXIT_NO_CONVERGENCE, EXIT_OK,
                           SCHEMA_VERSION, ConfigError, RunConfig,
                           build_parser, main, pulse_path, read_versioned_json,
@@ -226,11 +227,21 @@ def test_read_versioned_json_rejects_unknown_schema(tmp_path):
         read_versioned_json(p)
 
 
+@pytest.mark.parametrize("text", ["[]", "1", "null"])
+def test_read_versioned_json_rejects_a_root_that_is_not_an_object(tmp_path,
+                                                                  text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError):
+        read_versioned_json(p)
+
+
 def test_selectivity_check(tmp_path):
     code, out = run_cli(tmp_path, "multiion-verify", "selectivity")
     assert code == EXIT_OK
     report = read_versioned_json(out / "multiion_selectivity.json")
     assert report["selectivity"]["relative_error"] <= 1e-3
+    assert report["selectivity"]["passed"] is True
 
 
 def test_ms_sweep_artifact_shape(tmp_path):
@@ -243,6 +254,21 @@ def test_ms_sweep_artifact_shape(tmp_path):
     assert residuals == sorted(residuals)
     assert sweep["monotone"] is True
     assert sweep["floor"] == residuals[0]
+    assert sweep["floor_tol"] == 1e-3
+    assert sweep["floor"] <= 1e-3
+    assert sweep["passed"] is True
+
+
+def test_ms_sweep_floor_above_criterion_5_is_exit_2(tmp_path, monkeypatch):
+    # a floor of 2e-3 at 0 G that still rises with the field
+    monkeypatch.setattr(multiion, "ms_composite_xx",
+                        lambda tau, ion: (None, 2e-3 + ion.b_field))
+    code, out = run_cli(tmp_path, "multiion-verify", "ms-sweep")
+    assert code == EXIT_NO_CONVERGENCE
+    sweep = read_versioned_json(out / "multiion_ms-sweep.json")["ms_sweep"]
+    assert sweep["monotone"] is True
+    assert sweep["floor"] == 2e-3
+    assert sweep["passed"] is False
 
 
 def test_disentanglement_check(tmp_path):
@@ -266,7 +292,7 @@ def test_disentanglement_check(tmp_path):
     ids=["purity", "residual", "cutoff_change"])
 def test_disentanglement_outside_criterion_4_is_exit_2(tmp_path, monkeypatch,
                                                        report):
-    monkeypatch.setattr(cli, "motion_disentanglement_check",
+    monkeypatch.setattr(multiion, "motion_disentanglement_check",
                         lambda sys_: report)
     code, out = run_cli(tmp_path, "multiion-verify", "disentanglement")
     assert code == EXIT_NO_CONVERGENCE
@@ -277,11 +303,12 @@ def test_disentanglement_outside_criterion_4_is_exit_2(tmp_path, monkeypatch,
 @pytest.mark.parametrize("check", ["composite-zz", "all"])
 def test_composite_zz_outside_criterion_3_is_exit_2(tmp_path, monkeypatch,
                                                     check):
-    monkeypatch.setattr(cli, "composite_zz", lambda sys_: (None, 2e-9))
+    monkeypatch.setattr(multiion, "composite_zz", lambda sys_: (None, 2e-9))
     code, out = run_cli(tmp_path, "multiion-verify", check, "--draws", "2")
     assert code == EXIT_NO_CONVERGENCE
     report = read_versioned_json(out / f"multiion_{check}.json")
-    assert report["composite_zz"]["max_distance"] == 2e-9
+    assert report["composite_zz"] == {"draws": 2, "max_distance": 2e-9,
+                                      "tol": 1e-9, "passed": False}
 
 
 # a relative miss of 2e-6 fails criterion 10; one of 5e-7 passes it
@@ -291,13 +318,24 @@ def test_composite_zz_outside_criterion_3_is_exit_2(tmp_path, monkeypatch,
     ("selectivity", 5e-7, EXIT_OK)])
 def test_selectivity_exit_code_follows_criterion_10(tmp_path, monkeypatch,
                                                      check, miss, exit_code):
-    ratio = 2.5e-4
-    sel = {"relative_error": ratio * (1 + miss), "gamma_ratio": ratio}
-    monkeypatch.setattr(cli, "large_field_selectivity", lambda sys_: sel)
+    select = multiion.large_field_selectivity
+
+    def missing(sys_):
+        # ion w's gamma_n scaled by 1 + 2 miss moves the error off ion p's
+        # |gamma_n / gamma_e| by the relative miss
+        p, w = sys_.ions
+        w = dataclasses.replace(w, gamma_n=w.gamma_n * (1 + 2 * miss))
+        return select(dataclasses.replace(sys_, ions=(p, w)))
+    monkeypatch.setattr(multiion, "large_field_selectivity", missing)
     code, out = run_cli(tmp_path, "multiion-verify", check)
     assert code == exit_code
     report = read_versioned_json(out / f"multiion_{check}.json")
+    sel = missing(RunConfig().multiion)
     assert report["selectivity"] == sel
+    assert sel["relative_error"] == pytest.approx(
+        sel["gamma_ratio"] * (1 + miss), rel=1e-9)
+    assert sel["rel_tol"] == 1e-6
+    assert sel["passed"] is (exit_code == EXIT_OK)
 
 
 def test_selectivity_deterministic_across_runs(tmp_path):
@@ -449,7 +487,8 @@ def test_pulse_with_a_tampered_fidelity_is_synthesized_again(tmp_path,
     assert cli.ensure_pulse(cfg, "hadamard1")[1] is None
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no fidelity"])
+@pytest.mark.parametrize("damage", ["truncated", "no fidelity",
+                                    "array_root", "pulse_object"])
 def test_unreadable_cached_pulse_is_synthesized_again(tmp_path, caplog,
                                                       damage):
     argv = ("qst", "hadamard1", "--mode", "pulsed")
@@ -459,9 +498,15 @@ def test_unreadable_cached_pulse_is_synthesized_again(tmp_path, caplog,
     good = path.read_bytes()
     if damage == "truncated":  # as an interrupted write leaves it
         path.write_bytes(good[:200])
+    elif damage == "array_root":
+        path.write_text("[]\n")
     else:
         data = read_versioned_json(path)
-        del data["schema_version"], data["fidelity"]
+        del data["schema_version"]
+        if damage == "no fidelity":
+            del data["fidelity"]
+        else:  # the pulse as an object, not its serialized string
+            data["pulse"] = json.loads(data["pulse"])
         write_json(path, data)
     with caplog.at_level(logging.WARNING, logger="spinpair"):
         code, _ = run_cli(tmp_path, *argv, config=SMALL)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -247,7 +248,7 @@ def test_rwa_regime_warning_on_strong_drive():
 def _scaled_ion():
     a_s = TWO_PI * 10e6
     scale = a_s / YB171.hyperfine_a
-    return YB171.replace(hyperfine_a=a_s, b_field=YB171.b_field * scale)
+    return replace(YB171, hyperfine_a=a_s, b_field=YB171.b_field * scale)
 
 
 def test_lab_frame_zero_tones_is_free_evolution():
@@ -284,11 +285,12 @@ def test_lab_frame_chunks_give_the_single_batch_product(monkeypatch):
 
 _LAB_FRAME_SCRIPT = """
 import sys
+from dataclasses import replace
 from spinpair.control import MicrowaveTone, propagate_lab_frame
 from spinpair.ion import YB171, eigensystem
 a_s = 2e7 * 3.141592653589793
-p = YB171.replace(hyperfine_a=a_s,
-                  b_field=YB171.b_field * a_s / YB171.hyperfine_a)
+p = replace(YB171, hyperfine_a=a_s,
+            b_field=YB171.b_field * a_s / YB171.hyperfine_a)
 e = eigensystem(p).energies
 tone = MicrowaveTone(1e-4, 0.0, 0.0, e[0] - e[2], 0.3)
 silent = MicrowaveTone(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -403,7 +405,7 @@ def test_rwa_check_steps_one_period_per_case(monkeypatch, tmp_path):
     # formed 600,401 step propagators per case
     steps, cases = [], []
     batch = control.expm_unitary_batch
-    lab_frame = cli.propagate_lab_frame
+    lab_frame = control.propagate_lab_frame
 
     def counting(hs, t):
         # the RWA pulse goes through here too: count only inside the
@@ -418,7 +420,7 @@ def test_rwa_check_steps_one_period_per_case(monkeypatch, tmp_path):
         cases.append((tones, duration, dt, u))
         return u
     monkeypatch.setattr(control, "expm_unitary_batch", counting)
-    monkeypatch.setattr(cli, "propagate_lab_frame", recording)
+    monkeypatch.setattr(control, "propagate_lab_frame", recording)
     assert cli.main(["--out", str(tmp_path), "rwa-check"]) == cli.EXIT_OK
     assert len(cases) == 3
     for (tones, duration, dt, u), n in zip(cases, steps):
@@ -432,12 +434,12 @@ def test_rwa_check_steps_one_period_per_case(monkeypatch, tmp_path):
 def test_rwa_check_fails_on_a_wrong_rwa_map(monkeypatch, tmp_path):
     # the drives are derived from the map's own couplings, which must not
     # hide an error in the map
-    rwa = cli.rwa_coefficients
+    rwa = control.rwa_coefficients
 
     def scaled(tones, p, duration):
         seq = rwa(tones, p, duration)
         return PulseSequence(seq.durations, 1.1 * seq.amps, seq.dets)
-    monkeypatch.setattr(cli, "rwa_coefficients", scaled)
+    monkeypatch.setattr(control, "rwa_coefficients", scaled)
     assert (cli.main(["--out", str(tmp_path), "rwa-check"])
             == cli.EXIT_NO_CONVERGENCE)
     report = cli.read_versioned_json(tmp_path / "rwa_check.json")

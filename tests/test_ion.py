@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,13 @@ def test_free_hamiltonian_is_hermitian_and_traceless_zeeman():
     h = free_hamiltonian(YB171)
     assert np.max(np.abs(h - h.conj().T)) < 1e-6 * YB171.hyperfine_a
     # at zero field only the exchange term remains: eigenvalues A/4 (x3), -3A/4
-    h0 = free_hamiltonian(YB171.replace(b_field=0.0))
+    h0 = free_hamiltonian(replace(YB171, b_field=0.0))
     w = np.sort(np.linalg.eigvalsh(h0)) / YB171.hyperfine_a
     assert np.allclose(w, [-0.75, 0.25, 0.25, 0.25], atol=1e-12)
 
 
 def test_mixing_angle_zero_field_limit():
-    lam, theta0 = mixing_angle(YB171.replace(b_field=0.0))
+    lam, theta0 = mixing_angle(replace(YB171, b_field=0.0))
     assert lam == pytest.approx(-1.0, abs=1e-12)
     assert theta0 == pytest.approx(-np.pi / 2, abs=1e-12)
 
@@ -67,7 +69,7 @@ def test_energy_splitting_near_hyperfine_constant():
 
 
 def test_eigensystem_zero_field_labels():
-    es = eigensystem(YB171.replace(b_field=0.0))
+    es = eigensystem(replace(YB171, b_field=0.0))
     e = es.energies / YB171.hyperfine_a
     # |3> is the singlet at -3A/4; the triplet sits at A/4
     assert e[2] == pytest.approx(-0.75, abs=1e-12)

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from spinpair.ion import I1Y, I1Z, I2Z, YB171, mixing_angle
 from spinpair.linalg import expm_unitary
 from spinpair.multiion import (GradientDrive, NormalMode, TwoIonSystem,
-                               composite_zz, composite_zz_target,
-                               coupling_strength, integrate_spin_motion,
+                               composite_zz, composite_zz_check,
+                               composite_zz_target, coupling_strength,
+                               integrate_spin_motion,
                                large_field_selectivity,
                                motion_disentanglement_check, ms_composite_xx,
                                ms_interaction, theta_prime,
@@ -115,6 +118,16 @@ def _criterion_3_draws(seed, n):
                 k1=int(rng.integers(1, 4))))
 
 
+def test_composite_zz_check_draws_the_criterion_3_systems():
+    report, rows = composite_zz_check(TwoIonSystem(fock_cutoff=8),
+                                      np.random.default_rng(5), draws=4)
+    want = [(s.drive.b_grad, s.drive.delta, s.drive.k1, composite_zz(s)[1])
+            for s in _criterion_3_draws(5, 4)]
+    assert rows == want
+    assert report == {"draws": 4, "max_distance": max(r[-1] for r in want),
+                      "tol": 1e-9, "passed": True}
+
+
 def _dense_composite_zz(sys):
     """The echo as a product of eight dense factors, each rotation and
     U_zz built by its own exponential."""
@@ -196,7 +209,7 @@ def test_ms_composite_exact_at_symmetric_mixing():
 def test_ms_composite_residual_grows_with_field():
     taus = []
     for b0_gauss in (0.0, 2.0, 6.0, 20.0):
-        ion = YB171.replace(b_field=b0_gauss * 1e-4)
+        ion = replace(YB171, b_field=b0_gauss * 1e-4)
         _, dist = ms_composite_xx(0.7, ion=ion)
         taus.append(dist)
     assert all(taus[i] < taus[i + 1] for i in range(len(taus) - 1))
@@ -218,7 +231,7 @@ def _dense_selectivity(sys):
 
 @pytest.mark.parametrize("factor", [1, 2], ids=["default", "doubled-gamma1"])
 def test_large_field_selectivity_matches_dense_svd_form(factor):
-    ions = (YB171.replace(gamma_n=factor * YB171.gamma_n),) * 2
+    ions = (replace(YB171, gamma_n=factor * YB171.gamma_n),) * 2
     sys = TwoIonSystem(ions=ions)
     sel = large_field_selectivity(sys)
     assert sel["relative_error"] == _dense_selectivity(sys)
@@ -230,8 +243,21 @@ def test_large_field_selectivity_value_and_linearity():
     assert sel["relative_error"] == pytest.approx(
         abs(YB171.gamma_n / YB171.gamma_e), rel=1e-9)
     doubled = TwoIonSystem(
-        ions=(YB171.replace(gamma_n=2 * YB171.gamma_n),) * 2,
+        ions=(replace(YB171, gamma_n=2 * YB171.gamma_n),) * 2,
         mode=sys.mode, fock_cutoff=sys.fock_cutoff, drive=sys.drive)
     sel2 = large_field_selectivity(doubled)
     assert sel2["relative_error"] == pytest.approx(
         2 * sel["relative_error"], rel=1e-9)
+
+
+# a relative miss of 2e-6 fails criterion 10; one of 5e-7 passes it
+@pytest.mark.parametrize("miss, passed", [(2e-6, False), (5e-7, True)])
+def test_large_field_selectivity_passed_follows_criterion_10(miss, passed):
+    # ion w's gamma_n scaled by 1 + 2 miss moves the error off ion p's
+    # |gamma_n / gamma_e| by the relative miss
+    w = replace(YB171, gamma_n=YB171.gamma_n * (1 + 2 * miss))
+    sel = large_field_selectivity(TwoIonSystem(ions=(YB171, w)))
+    assert sel["relative_error"] == pytest.approx(
+        sel["gamma_ratio"] * (1 + miss), rel=1e-9)
+    assert sel["rel_tol"] == 1e-6
+    assert sel["passed"] is passed
